@@ -20,7 +20,6 @@ def parse_args() -> argparse.Namespace:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--population", type=int, default=16)
     p.add_argument("--max-iters", type=int, default=60)
-    p.add_argument("--threads", type=int, default=1)
     return p.parse_args()
 
 
@@ -48,7 +47,6 @@ def main() -> None:
             population=args.population, max_iters=args.max_iters,
             stall_generations=12, seed=args.seed + 202,
         ),
-        threads=args.threads,
     )
     elapsed = time.perf_counter() - t0
 

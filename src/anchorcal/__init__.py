@@ -10,7 +10,6 @@ sweep seeds a joint differential-evolution search over (w, l, h).
 from .core import (
     SIZE_AXES,
     SIZE_FLOOR,
-    Anchor,
     AnchorSizes,
     CalibrationError,
     DimensionMismatchError,
@@ -18,9 +17,7 @@ from .core import (
     FeatureDatabase,
     InsufficientSamplesError,
     ScoredProposal,
-    SizePerturbation,
     UnknownFrameError,
-    apply_perturbation,
     normalize_yaw,
 )
 from .extractor import (
@@ -51,7 +48,6 @@ from .synthdet import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Anchor",
     "AnchorSizes",
     "CalibrationError",
     "CalibrationResult",
@@ -67,12 +63,10 @@ __all__ = [
     "SIZE_AXES",
     "SIZE_FLOOR",
     "ScoredProposal",
-    "SizePerturbation",
     "SweepConfig",
     "SyntheticDomain",
     "SyntheticExtractor",
     "UnknownFrameError",
-    "apply_perturbation",
     "build_reference_db",
     "build_target_db",
     "calibrate",

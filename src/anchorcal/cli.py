@@ -74,6 +74,8 @@ SUBSET_SEED_OFFSET = 303
 
 DEFAULT_N_FRAMES = 30
 
+CONFIG_KEYS = {"seed", "out_dir", "source", "target", "gate", "em", "sweep", "de"}
+
 
 @dataclass(frozen=True)
 class DomainSection:
@@ -91,7 +93,6 @@ class DomainSection:
 class RunConfig:
     seed: int
     out_dir: Path
-    threads: int
     source: DomainSection
     target: DomainSection
     gate: GateConfig
@@ -134,12 +135,12 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
         raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: config must be a JSON object")
+    unknown = set(raw) - CONFIG_KEYS
+    if unknown:
+        raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
 
     seed = int(raw.get("seed", 0)) if overrides.seed is None else overrides.seed
     out_dir = Path(raw.get("out_dir", "out")) if overrides.out is None else Path(overrides.out)
-    threads = int(raw.get("threads", 1)) if overrides.threads is None else overrides.threads
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
 
     gate_raw = dict(_section(raw, "gate"))
     if overrides.tau is not None:
@@ -165,7 +166,6 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
     return RunConfig(
         seed=seed,
         out_dir=out_dir,
-        threads=threads,
         source=_domain_section(raw, "source", seed + SOURCE_SEED_OFFSET, config_dir),
         target=_domain_section(raw, "target", seed + TARGET_SEED_OFFSET, config_dir),
         gate=gate,
@@ -260,7 +260,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     target = _materialize(cfg, "target")
     _check_dims(model, target)
     eval_fn = make_target_fitness(target, list(target.frames()), cfg.gate, model)
-    _, curves = linear_sweep(eval_fn, source.source_sizes, cfg.sweep_configs, cfg.threads)
+    _, curves = linear_sweep(eval_fn, source.source_sizes, cfg.sweep_configs)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     for axis, curve in curves.items():
         save_curve(curve, _curve_path(cfg, axis))
@@ -286,8 +286,7 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     result = calibrate(
         source, target, list(source.frames()), list(target.frames()),
         gate=cfg.gate, em_config=cfg.em, sweep_configs=cfg.sweep_configs,
-        de_config=cfg.de, threads=cfg.threads,
-        sweep_curves=_stored_curves(cfg), model=stored_model,
+        de_config=cfg.de, sweep_curves=_stored_curves(cfg), model=stored_model,
     )
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -357,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="run configuration JSON")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
     parser.add_argument("--seed", type=int, default=None, help="global seed (overrides config)")
-    parser.add_argument("--threads", type=int, default=None, help="worker cap for fitness evaluations")
     parser.add_argument("--tau", type=float, default=None, help="score gate override")
     return parser
 

@@ -1,8 +1,8 @@
 """Core value types shared by the calibration pipeline.
 
 Anchors are oriented 3D boxes (x, y, z, w, l, h, theta). Calibration only
-ever rewrites the three size fields; positions and yaw are carried through
-untouched so downstream consumers keep their residual conventions.
+ever rewrites the three size fields, so the pipeline's types carry sizes
+alone.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Smallest admissible box side in meters. Perturbations are clamped here so
-# the optimizer can never hand the feature extractor a degenerate box.
+# Smallest admissible box side in meters. DE trials are clamped here so the
+# optimizer can never hand the feature extractor a degenerate box.
 SIZE_FLOOR = 0.05
 
 FrameId = int
@@ -89,84 +89,14 @@ SIZE_AXES = ("w", "l", "h")
 
 
 @dataclass(frozen=True)
-class Anchor:
-    """A full oriented box. Positions in meters, theta wrapped to [-pi, pi)."""
-
-    x: float
-    y: float
-    z: float
-    w: float
-    l: float
-    h: float
-    theta: float
-
-    def __post_init__(self) -> None:
-        for name in ("x", "y", "z", "theta"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"anchor field {name} must be finite, got {v!r}")
-        for name in ("w", "l", "h"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v <= 0.0:
-                raise ValueError(f"anchor size {name} must be finite and positive, got {v!r}")
-        object.__setattr__(self, "theta", normalize_yaw(self.theta))
-
-    @property
-    def sizes(self) -> AnchorSizes:
-        return AnchorSizes(self.w, self.l, self.h)
-
-    def with_sizes(self, sizes: AnchorSizes) -> "Anchor":
-        return Anchor(self.x, self.y, self.z, sizes.w, sizes.l, sizes.h, self.theta)
-
-
-@dataclass(frozen=True)
-class SizePerturbation:
-    """Additive offsets (meters) applied to the three anchor sizes."""
-
-    dw: float
-    dl: float
-    dh: float
-
-    def __post_init__(self) -> None:
-        for name in ("dw", "dl", "dh"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"perturbation field {name} must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.dw, self.dl, self.dh], dtype=np.float64)
-
-    def negated(self) -> "SizePerturbation":
-        return SizePerturbation(-self.dw, -self.dl, -self.dh)
-
-
-def apply_perturbation(
-    sizes: AnchorSizes, eps: SizePerturbation, floor: float = SIZE_FLOOR
-) -> tuple[AnchorSizes, bool]:
-    """Add eps to the sizes, clamping each side at the positivity floor.
-
-    Returns the perturbed sizes and a flag that is True when any side was
-    clamped. Monotone in eps componentwise.
-    """
-    if floor <= 0.0:
-        raise ValueError("positivity floor must be positive")
-    raw = sizes.as_array() + eps.as_array()
-    clamped = bool(np.any(raw < floor))
-    out = np.maximum(raw, floor)
-    return AnchorSizes.from_array(out), clamped
-
-
-@dataclass(frozen=True)
 class ScoredProposal:
-    """One detector proposal: confidence, regression residuals, latent feature.
+    """One detector proposal: confidence and latent feature.
 
-    Size residuals are carried for completeness but suppressed when features
-    are built, so the effective box always has the queried anchor sizes.
+    Size residuals are suppressed when features are built, so the effective
+    box always has the queried anchor sizes.
     """
 
     score: float
-    center_residuals: tuple[float, float, float]
-    yaw_residual: float
-    size_residuals: tuple[float, float, float]
     feature: FeatureVector = field(repr=False)
 
     def __post_init__(self) -> None:

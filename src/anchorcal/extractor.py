@@ -16,14 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    Anchor,
-    AnchorSizes,
-    EmptyDatabaseError,
-    FeatureDatabase,
-    FrameId,
-    ScoredProposal,
-)
+from .core import AnchorSizes, EmptyDatabaseError, FeatureDatabase, FrameId, ScoredProposal
 
 
 @dataclass(frozen=True)
@@ -63,27 +56,17 @@ class FeatureExtractor(ABC):
     def source_sizes(self) -> AnchorSizes:
         """The anchor sizes the detector was configured (trained) with."""
 
-    @property
-    def source_anchor(self) -> Anchor:
-        s = self.source_sizes
-        return Anchor(0.0, 0.0, 0.0, s.w, s.l, s.h, 0.0)
-
     @abstractmethod
     def frames(self) -> Sequence[FrameId]:
         """Deterministic enumeration of the domain's frames."""
 
     @abstractmethod
-    def propose(
-        self,
-        frame: FrameId,
-        sizes: AnchorSizes,
-        suppress_size_residuals: bool = True,
-    ) -> list[ScoredProposal]:
+    def propose(self, frame: FrameId, sizes: AnchorSizes) -> list[ScoredProposal]:
         """Scored proposals for one frame under the given anchor sizes.
 
         Must be pure: identical (frame, sizes) inputs yield identical
-        proposals. With suppression on, the effective boxes keep the
-        queried sizes and only the carried pose residuals apply.
+        proposals. Size residuals are suppressed, so every effective box
+        has the queried sizes.
         """
 
     def gated_features(
@@ -91,10 +74,9 @@ class FeatureExtractor(ABC):
     ) -> np.ndarray:
         """Features of the proposals scoring above tau, as (n, D) float32 rows.
 
-        Rows follow the given frame order, then each frame's proposal order,
-        with size residuals suppressed. This default gates propose();
-        backends may override it with a batched equivalent, which must
-        return the same rows bit for bit.
+        Rows follow the given frame order, then each frame's proposal order.
+        This default gates propose(); backends may override it with a
+        batched equivalent, which must return the same rows bit for bit.
         """
         rows = [
             p.feature for f in frames for p in self.propose(f, sizes) if p.score > tau

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -159,24 +157,15 @@ class CalibrationResult:
 
 
 class _CountingFitness:
-    """Wraps a fitness function and counts calls, safely across threads."""
+    """Wraps a fitness function and counts calls."""
 
     def __init__(self, fn: FitnessFn) -> None:
         self._fn = fn
-        self._lock = threading.Lock()
         self.count = 0
 
     def __call__(self, sizes: AnchorSizes) -> float:
-        with self._lock:
-            self.count += 1
+        self.count += 1
         return self._fn(sizes)
-
-
-def _eval_many(eval_fn: FitnessFn, candidates: Sequence[AnchorSizes], threads: int) -> list[float]:
-    if threads <= 1 or len(candidates) <= 1:
-        return [float(eval_fn(c)) for c in candidates]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return [float(f) for f in pool.map(eval_fn, candidates)]
 
 
 def _curve_argmax(curve: Sequence[tuple[float, float]], source_value: float, axis: str) -> float:
@@ -197,7 +186,6 @@ def linear_sweep(
     eval_fn: FitnessFn,
     source: AnchorSizes,
     configs: Sequence[SweepConfig],
-    threads: int = 1,
 ) -> tuple[AnchorSizes, dict[str, Curve]]:
     """Per-axis grid search around the source sizes.
 
@@ -212,7 +200,7 @@ def linear_sweep(
     curves: dict[str, Curve] = {}
     for cfg in configs:
         values = cfg.grid(source.axis(cfg.axis))
-        fits = _eval_many(eval_fn, [source.replace_axis(cfg.axis, v) for v in values], threads)
+        fits = [float(eval_fn(source.replace_axis(cfg.axis, v))) for v in values]
         curve = tuple((float(v), float(f)) for v, f in zip(values, fits))
         winners[cfg.axis] = _curve_argmax(curve, source.axis(cfg.axis), cfg.axis)
         curves[cfg.axis] = curve
@@ -236,14 +224,13 @@ def differential_evolution(
     init_candidate: AnchorSizes,
     source: AnchorSizes,
     config: DeConfig = DeConfig(),
-    threads: int = 1,
 ) -> CalibrationResult:
     """Joint search over (w, l, h) by best/1 differential evolution.
 
     The population starts as uniform samples in +-init_range around the
     source, with init_candidate and the source itself replacing the first
     two members. Trials are built synchronously per generation, so the
-    result does not depend on evaluation order or thread count.
+    result does not depend on evaluation order.
     """
     rng = np.random.default_rng(config.seed)
     n = config.population
@@ -253,7 +240,7 @@ def differential_evolution(
     pop[1] = src
     pop = np.maximum(pop, SIZE_FLOOR)
 
-    fits = _eval_many(eval_fn, [AnchorSizes.from_array(row) for row in pop], threads)
+    fits = [float(eval_fn(AnchorSizes.from_array(row))) for row in pop]
     if all(f == -math.inf for f in fits):
         raise CalibrationError(
             "every initial candidate evaluated to -inf; "
@@ -278,7 +265,7 @@ def differential_evolution(
             cross = rng.uniform(size=3) < config.crossover_rate
             cross[int(rng.integers(3))] = True
             trials[i] = np.maximum(np.where(cross, mutant, pop[i]), SIZE_FLOOR)
-        trial_fits = _eval_many(eval_fn, [AnchorSizes.from_array(row) for row in trials], threads)
+        trial_fits = [float(eval_fn(AnchorSizes.from_array(row))) for row in trials]
         generations += 1
         previous_best = best_fit
         for i in range(n):
@@ -339,7 +326,6 @@ def calibrate(
     em_config: EmConfig = EmConfig(),
     sweep_configs: Sequence[SweepConfig] | None = None,
     de_config: DeConfig = DeConfig(),
-    threads: int = 1,
     sweep_curves: Mapping[str, Sequence[tuple[float, float]]] | None = None,
     model: Gmm | None = None,
 ) -> CalibrationResult:
@@ -369,7 +355,7 @@ def calibrate(
     if sweep_curves is None:
         if sweep_configs is None:
             sweep_configs = default_sweep_configs()
-        init, curves = linear_sweep(counter, source, sweep_configs, threads)
+        init, curves = linear_sweep(counter, source, sweep_configs)
         sweep_evals = sum(cfg.steps for cfg in sweep_configs)
     else:
         curves = {
@@ -379,7 +365,7 @@ def calibrate(
         init = initial_candidate_from_curves(curves, source)
         sweep_evals = 0
 
-    de_result = differential_evolution(counter, init, source, de_config, threads)
+    de_result = differential_evolution(counter, init, source, de_config)
     expected = sweep_evals + de_result.evaluations
     if counter.count != expected:
         raise AssertionError(

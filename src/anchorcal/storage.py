@@ -12,6 +12,7 @@ identical inputs, which is what makes re-run hashing a meaningful check.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import struct
@@ -188,7 +189,10 @@ def load_trace(path: str | Path) -> tuple[float, ...]:
         header = next(reader, None)
         if header != ["generation", "best_fitness"]:
             raise FormatError(f"{path}: expected a generation,best_fitness header")
-        return tuple(float(fit) for _, fit in reader)
+        try:
+            return tuple(float(fit) for _, fit in reader)
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
 
 
 def _pack_frame(frame: SyntheticFrame) -> bytes:
@@ -234,33 +238,17 @@ def _unpack_frame(buf: bytes, offset: int) -> tuple[SyntheticFrame, int]:
 
 def save_domain(extractor: SyntheticExtractor, directory: str | Path) -> None:
     """Cache a generated domain: manifest.json plus one frames binary."""
-    if extractor.domain is None:
-        raise ValueError("extractor carries no domain description to cache")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     spec = extractor.domain
     frames = [extractor.frame_data(f) for f in extractor.frames()]
+    spec_json = {f.name: getattr(spec, f.name) for f in dataclasses.fields(SyntheticDomain)}
+    spec_json["size_mean"] = _sizes_to_json(spec.size_mean)
     manifest = {
         "format_version": DOMAIN_VERSION,
         "frames_file": FRAMES_NAME,
         "n_frames": len(frames),
-        "spec": {
-            "size_mean": _sizes_to_json(spec.size_mean),
-            "size_std": list(spec.size_std),
-            "objects_per_frame": spec.objects_per_frame,
-            "points_per_object": spec.points_per_object,
-            "clutter_rate": spec.clutter_rate,
-            "frame_extent": list(spec.frame_extent),
-            "seed": spec.seed,
-            "center_noise": spec.center_noise,
-            "size_estimate_noise": spec.size_estimate_noise,
-            "yaw_noise": spec.yaw_noise,
-            "surface_margin": spec.surface_margin,
-            "point_jitter": spec.point_jitter,
-            "grid_resolution": spec.grid_resolution,
-            "nms": spec.nms,
-            "nms_iou": spec.nms_iou,
-        },
+        "spec": spec_json,
     }
     _dump_json(manifest, directory / MANIFEST_NAME)
     with open(directory / FRAMES_NAME, "wb") as fh:
@@ -278,12 +266,7 @@ def domain_spec_from_json(raw: Mapping[str, object]) -> SyntheticDomain:
     else:
         mean = AnchorSizes(*(float(v) for v in size_mean))
     std = tuple(float(v) for v in fields.pop("size_std"))
-    known = {
-        "objects_per_frame", "points_per_object", "clutter_rate", "frame_extent",
-        "seed", "center_noise", "size_estimate_noise", "yaw_noise",
-        "surface_margin", "point_jitter", "grid_resolution", "nms", "nms_iou",
-    }
-    unknown = set(fields) - known
+    unknown = set(fields) - {f.name for f in dataclasses.fields(SyntheticDomain)}
     if unknown:
         raise ValueError(f"unknown domain fields: {sorted(unknown)}")
     if "frame_extent" in fields:
@@ -318,11 +301,4 @@ def load_domain(directory: str | Path) -> SyntheticExtractor:
         raise FormatError(f"{directory}: truncated frames file ({exc})") from exc
     if offset != len(buf):
         raise FormatError(f"{directory}: {len(buf) - offset} trailing bytes")
-    return SyntheticExtractor(
-        frames,
-        spec.size_mean,
-        grid_resolution=spec.grid_resolution,
-        nms=spec.nms,
-        nms_iou=spec.nms_iou,
-        domain=spec,
-    )
+    return SyntheticExtractor(frames, spec)

@@ -307,20 +307,8 @@ class SyntheticExtractor(FeatureExtractor):
     callers each see a complete table.
     """
 
-    def __init__(
-        self,
-        frames: Sequence[SyntheticFrame],
-        source_sizes: AnchorSizes,
-        grid_resolution: int = 4,
-        nms: bool = True,
-        nms_iou: float = 0.5,
-        domain: SyntheticDomain | None = None,
-    ) -> None:
+    def __init__(self, frames: Sequence[SyntheticFrame], domain: SyntheticDomain) -> None:
         self._frames = list(frames)
-        self._source_sizes = source_sizes
-        self._grid = int(grid_resolution)
-        self._nms = bool(nms)
-        self._nms_iou = float(nms_iou)
         self.domain = domain
         self._tables: _CandidateTables | None = None
 
@@ -353,11 +341,11 @@ class SyntheticExtractor(FeatureExtractor):
 
     @property
     def feature_dim(self) -> int:
-        return self._grid**3
+        return self.domain.feature_dim
 
     @property
     def source_sizes(self) -> AnchorSizes:
-        return self._source_sizes
+        return self.domain.size_mean
 
     def frames(self) -> Sequence[FrameId]:
         return range(len(self._frames))
@@ -402,47 +390,31 @@ class SyntheticExtractor(FeatureExtractor):
         self._tables = tables
         return tables
 
-    def propose(
-        self,
-        frame: FrameId,
-        sizes: AnchorSizes,
-        suppress_size_residuals: bool = True,
-    ) -> list[ScoredProposal]:
+    def propose(self, frame: FrameId, sizes: AnchorSizes) -> list[ScoredProposal]:
         f = self._frame_index(frame)
         query = sizes.as_array()
+        half = query / 2.0
+        reach2 = _reach2(half)
+        tables = self._tables_reaching(reach2)
         ids = range(self._live_start[f], self._live_start[f + 1])
-        eff_sizes = [query if suppress_size_residuals else self._live[g][2].est_size for g in ids]
-        tables = self._tables_reaching(max((_reach2(e / 2.0) for e in eff_sizes), default=0.0))
-        proposals, halves = [], []
-        for g, eff_size in zip(ids, eff_sizes):
-            obj = self._live[g][2]
-            half = eff_size / 2.0
-            rows = tables.prefix(g, _reach2(half))
+        proposals = []
+        for g in ids:
+            rows = tables.prefix(g, reach2)
             local = tables.local[rows]
             inside = _inside_box(local, half)
             n_in = int(np.count_nonzero(inside))
             own_in = int(np.count_nonzero(inside & tables.own[rows]))
             foreign_in = n_in - own_in
-            own_out = obj.n_points - own_in
+            own_out = self._live[g][2].n_points - own_in
             score = own_in / (own_in + foreign_in + own_out)
-            feature = occupancy_feature(local[inside], eff_size, self._grid)
-            cell = np.floor(obj.est_center) + 0.5
-            proposals.append(
-                ScoredProposal(
-                    score=score,
-                    center_residuals=tuple(float(v) for v in (obj.est_center - cell)),
-                    yaw_residual=normalize_yaw(obj.est_yaw),
-                    size_residuals=tuple(float(v) for v in (obj.est_size - query)),
-                    feature=feature,
-                )
-            )
-            halves.append(half)
-        if self._nms and len(proposals) > 1:
+            feature = occupancy_feature(local[inside], query, self.domain.grid_resolution)
+            proposals.append(ScoredProposal(score, feature))
+        if self.domain.nms and len(proposals) > 1:
             kept = _nms_keep(
                 [p.score for p in proposals],
                 self._live_center[ids.start : ids.stop],
-                np.array(halves),
-                self._nms_iou,
+                np.tile(half, (len(proposals), 1)),
+                self.domain.nms_iou,
             )
             proposals = [proposals[j] for j in kept]
         return proposals
@@ -482,12 +454,12 @@ class SyntheticExtractor(FeatureExtractor):
         scores = own_in / (n_in + (self._live_npts[sel] - own_in))
 
         keep = scores > tau
-        if self._nms and len(self._pair_frame):
+        if self.domain.nms and len(self._pair_frame):
             centers = self._live_center
             pair_iou = _axis_aligned_iou(
                 centers[self._pair_a], half, centers[self._pair_b], half
             )
-            crowded = set(self._pair_frame[pair_iou > self._nms_iou].tolist())
+            crowded = set(self._pair_frame[pair_iou > self.domain.nms_iou].tolist())
             pos = 0
             for f, (a, b) in zip(frames, per_frame):
                 n = int(b - a)
@@ -496,7 +468,7 @@ class SyntheticExtractor(FeatureExtractor):
                         scores[pos : pos + n].tolist(),
                         centers[a:b],
                         np.tile(half, (n, 1)),
-                        self._nms_iou,
+                        self.domain.nms_iou,
                     )
                     survives = np.zeros(n, dtype=bool)
                     survives[kept] = True
@@ -508,7 +480,7 @@ class SyntheticExtractor(FeatureExtractor):
             return np.empty((0, dim), dtype=np.float32)
         hit = inside & np.repeat(keep, take)
         cells = np.repeat(np.arange(n_out) * dim, n_in[keep])
-        cells += _occupancy_bins(local[hit], query, self._grid)
+        cells += _occupancy_bins(local[hit], query, self.domain.grid_resolution)
         counts = np.bincount(cells, minlength=n_out * dim).reshape(n_out, dim)
         return (counts / n_in[keep][:, None]).astype(np.float32)
 
@@ -519,25 +491,17 @@ def generate_domain(spec: SyntheticDomain, n_frames: int) -> SyntheticExtractor:
         raise ValueError("n_frames must be >= 1")
     children = np.random.SeedSequence(spec.seed).spawn(n_frames)
     frames = [_generate_frame(spec, np.random.default_rng(child)) for child in children]
-    return SyntheticExtractor(
-        frames,
-        spec.size_mean,
-        grid_resolution=spec.grid_resolution,
-        nms=spec.nms,
-        nms_iou=spec.nms_iou,
-        domain=spec,
-    )
+    return SyntheticExtractor(frames, spec)
 
 
 def mean_capture_score(
     extractor: SyntheticExtractor,
     frames: Sequence[FrameId],
     sizes: AnchorSizes,
-    suppress_size_residuals: bool = True,
 ) -> float:
     """Ungated mean proposal score: the surrogate's detection-quality proxy."""
     scores: list[float] = []
     for frame in frames:
-        for p in extractor.propose(frame, sizes, suppress_size_residuals):
+        for p in extractor.propose(frame, sizes):
             scores.append(p.score)
     return float(np.mean(scores)) if scores else 0.0

@@ -141,14 +141,6 @@ def test_stage_outputs_are_idempotent(tmp_path):
     assert tree_hashes(out) == first
 
 
-def test_threads_do_not_change_outputs(tmp_path):
-    cfg1 = write_config(tmp_path, small_config(tmp_path / "a"), "a.json")
-    cfg4 = write_config(tmp_path, small_config(tmp_path / "b"), "b.json")
-    assert run("calibrate", "--config", cfg1, "--threads", 1) == 0
-    assert run("calibrate", "--config", cfg4, "--threads", 4) == 0
-    assert tree_hashes(tmp_path / "a") == tree_hashes(tmp_path / "b")
-
-
 def test_report_prints_summary(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, small_config(out))
@@ -205,6 +197,12 @@ def test_unknown_domain_field_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, small_config(tmp_path / "out", source={"bogus": 1}))
     assert run("gen", "--config", cfg) == 2
     assert "bogus" in capsys.readouterr().err
+
+
+def test_unknown_top_level_key_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, small_config(tmp_path / "out", threads=4))
+    assert run("gen", "--config", cfg) == 2
+    assert "threads" in capsys.readouterr().err
 
 
 def test_bad_sweep_axes_is_config_error(tmp_path):

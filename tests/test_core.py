@@ -1,69 +1,7 @@
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from anchorcal.core import (
-    SIZE_FLOOR,
-    Anchor,
-    AnchorSizes,
-    DimensionMismatchError,
-    FeatureDatabase,
-    ScoredProposal,
-    SizePerturbation,
-    apply_perturbation,
-)
-
-sizes_st = st.builds(
-    AnchorSizes,
-    w=st.floats(0.1, 10.0),
-    l=st.floats(0.1, 10.0),
-    h=st.floats(0.1, 10.0),
-)
-eps_st = st.builds(
-    SizePerturbation,
-    dw=st.floats(-5.0, 5.0),
-    dl=st.floats(-5.0, 5.0),
-    dh=st.floats(-5.0, 5.0),
-)
-
-
-def test_apply_perturbation_plain_addition():
-    out, clamped = apply_perturbation(AnchorSizes(1.9, 4.6, 1.7), SizePerturbation(0.1, -0.2, 0.05))
-    assert not clamped
-    assert out.w == pytest.approx(2.0)
-    assert out.l == pytest.approx(4.4)
-    assert out.h == pytest.approx(1.75)
-
-
-def test_apply_perturbation_clamps_at_floor():
-    out, clamped = apply_perturbation(AnchorSizes(0.5, 0.5, 0.5), SizePerturbation(-1.0, 0.0, 0.0))
-    assert clamped
-    assert out.w == SIZE_FLOOR
-    assert out.l == 0.5 and out.h == 0.5
-
-
-@given(sizes_st, eps_st)
-def test_apply_perturbation_round_trip_is_identity_without_clamping(sizes, eps):
-    forward, clamped_fwd = apply_perturbation(sizes, eps)
-    if clamped_fwd:
-        return
-    back, clamped_back = apply_perturbation(forward, eps.negated())
-    if clamped_back:
-        return
-    for axis in ("w", "l", "h"):
-        assert math.isclose(back.axis(axis), sizes.axis(axis), rel_tol=1e-12, abs_tol=1e-12)
-
-
-@given(sizes_st, eps_st, eps_st)
-def test_apply_perturbation_monotone_in_eps(sizes, a, b):
-    lo = SizePerturbation(min(a.dw, b.dw), min(a.dl, b.dl), min(a.dh, b.dh))
-    hi = SizePerturbation(max(a.dw, b.dw), max(a.dl, b.dl), max(a.dh, b.dh))
-    out_lo, _ = apply_perturbation(sizes, lo)
-    out_hi, _ = apply_perturbation(sizes, hi)
-    assert out_lo.w <= out_hi.w and out_lo.l <= out_hi.l and out_lo.h <= out_hi.h
-
+from anchorcal.core import AnchorSizes, DimensionMismatchError, FeatureDatabase, ScoredProposal
 
 @pytest.mark.parametrize("bad", [(0.0, 1.0, 1.0), (1.0, -2.0, 1.0), (1.0, 1.0, float("nan"))])
 def test_sizes_reject_non_positive(bad):
@@ -71,29 +9,14 @@ def test_sizes_reject_non_positive(bad):
         AnchorSizes(*bad)
 
 
-def test_anchor_normalizes_yaw_and_keeps_position():
-    a = Anchor(1.0, -2.0, 0.5, 1.9, 4.6, 1.7, theta=math.pi)
-    assert a.theta == pytest.approx(-math.pi)
-    assert (a.x, a.y, a.z) == (1.0, -2.0, 0.5)
-    b = Anchor(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, theta=7.0)
-    assert -math.pi <= b.theta < math.pi
-
-
-def test_anchor_with_sizes_keeps_pose():
-    a = Anchor(1.0, 2.0, 3.0, 1.9, 4.6, 1.7, 0.3)
-    b = a.with_sizes(AnchorSizes(2.0, 4.0, 1.5))
-    assert (b.x, b.y, b.z, b.theta) == (a.x, a.y, a.z, a.theta)
-    assert b.sizes == AnchorSizes(2.0, 4.0, 1.5)
-
-
 def test_scored_proposal_validates_score_and_feature():
     feat = np.zeros(8, dtype=np.float32)
-    p = ScoredProposal(0.5, (0.0, 0.0, 0.0), 0.0, (0.0, 0.0, 0.0), feat)
+    p = ScoredProposal(0.5, feat)
     assert p.dim == 8
     with pytest.raises(ValueError):
-        ScoredProposal(1.5, (0.0, 0.0, 0.0), 0.0, (0.0, 0.0, 0.0), feat)
+        ScoredProposal(1.5, feat)
     with pytest.raises(ValueError):
-        ScoredProposal(0.5, (0.0, 0.0, 0.0), 0.0, (0.0, 0.0, 0.0), np.array([np.inf, 0.0]))
+        ScoredProposal(0.5, np.array([np.inf, 0.0]))
 
 
 def test_database_rejects_mixed_dims_and_nonfinite():

@@ -42,13 +42,6 @@ def test_gate_config_validation():
         GateConfig(frame_subset=0.0)
 
 
-def test_source_anchor_sits_at_origin(domain):
-    ex, _ = domain
-    a = ex.source_anchor
-    assert (a.x, a.y, a.z, a.theta) == (0.0, 0.0, 0.0, 0.0)
-    assert a.sizes == CAR
-
-
 @settings(max_examples=20, deadline=None)
 @given(
     lo=st.floats(0.0, 1.0, allow_nan=False),
@@ -158,8 +151,8 @@ def test_batched_gated_features_match_propose_bit_for_bit(grid, nms):
         frame_extent=(14.0, 14.0, 4.0), clutter_rate=3000.0, grid_resolution=grid, nms=nms,
     )
     frames = _with_edge_frames(generate_domain(spec, 8))
-    batched = SyntheticExtractor(frames, CAR, grid_resolution=grid, nms=nms)
-    reference = SyntheticExtractor(frames, CAR, grid_resolution=grid, nms=nms)
+    batched = SyntheticExtractor(frames, spec)
+    reference = SyntheticExtractor(frames, spec)
     order = list(np.random.default_rng(0).permutation(len(frames)))
     gate = GateConfig(tau=0.6)
     model = fit_em(build_reference_db(reference, order, gate), EmConfig(k=2, seed=0))
@@ -192,10 +185,10 @@ def test_concurrent_table_growth_matches_sequential_results():
     # must see a complete table and return what a lone caller gets
     spec = SyntheticDomain(CAR, (0.04, 0.05, 0.03), seed=3, clutter_rate=2000.0)
     frames = [generate_domain(spec, 6).frame_data(f) for f in range(6)]
-    shared = SyntheticExtractor(frames, CAR)
+    shared = SyntheticExtractor(frames, spec)
     sizes = [AnchorSizes.from_array(CAR.as_array() * f) for f in np.linspace(0.5, 1.8, 24)]
     expected = [
-        SyntheticExtractor(frames, CAR).gated_features(range(6), s, 0.3).tobytes() for s in sizes
+        SyntheticExtractor(frames, spec).gated_features(range(6), s, 0.3).tobytes() for s in sizes
     ]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

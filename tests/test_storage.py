@@ -167,6 +167,14 @@ def test_trace_round_trip(tmp_path):
     assert lines[1].startswith("0,")
 
 
+@pytest.mark.parametrize("row", ["1,abc", "1,2,3"])
+def test_trace_rejects_malformed_row(tmp_path, row):
+    path = tmp_path / "trace.csv"
+    path.write_text(f"generation,best_fitness\n0,1.5\n{row}\n")
+    with pytest.raises(FormatError):
+        load_trace(path)
+
+
 def test_domain_cache_round_trip(tmp_path):
     spec = SyntheticDomain(CAR, (0.04, 0.05, 0.03), clutter_rate=500.0, seed=21)
     ex = generate_domain(spec, 4)
@@ -215,11 +223,3 @@ def test_domain_spec_from_json_rejects_unknown_fields():
         domain_spec_from_json(
             {"size_mean": [1.9, 4.6, 1.7], "size_std": [0.0, 0.0, 0.0], "bogus": 1}
         )
-
-
-def test_save_domain_requires_spec(tmp_path):
-    from anchorcal.synthdet import SyntheticExtractor, SyntheticFrame
-
-    bare = SyntheticExtractor([SyntheticFrame((), np.empty((0, 3)))], CAR)
-    with pytest.raises(ValueError, match="domain"):
-        save_domain(bare, tmp_path / "dom")
