@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import (
     EmptyDatabaseError,
@@ -123,6 +122,24 @@ def _component_log_pdf(model: Gmm, x: np.ndarray) -> np.ndarray:
     return np.log(model.weights)[None, :] + log_norm[None, :] - 0.5 * maha
 
 
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=1)) of an (n, k) array, computed as
+    scipy.special.logsumexp 1.17 does, so results match it bit for bit: the
+    row max and its ties come out of the sum, which is divided by the tie count."""
+    a_max = a.max(axis=1, keepdims=True)
+    at_max = a == a_max
+    m = at_max.sum(axis=1, keepdims=True, dtype=a.dtype)
+    with np.errstate(invalid="ignore"):  # rows whose max is infinite
+        s = np.exp(np.where(at_max, -np.inf, a) - a_max).sum(axis=1, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = (np.log1p(s) + np.log(m) + a_max)[:, 0]
+    bad = ~np.isfinite(out)
+    if bad.any():
+        with np.errstate(divide="ignore", over="ignore"):
+            out[bad] = np.log(np.exp(a[bad]).sum(axis=1))
+    return out
+
+
 def log_pdf_batch(model: Gmm, x: np.ndarray) -> np.ndarray:
     """Mixture log densities for an (n, d) array of points, shape (n,)."""
     x = np.asarray(x, dtype=np.float64)
@@ -136,7 +153,7 @@ def log_pdf_batch(model: Gmm, x: np.ndarray) -> np.ndarray:
         raise ValueError("points must be finite")
     if x.shape[0] == 0:
         return np.empty(0, dtype=np.float64)
-    return logsumexp(_component_log_pdf(model, x), axis=1)
+    return _logsumexp_rows(_component_log_pdf(model, x))
 
 
 def log_pdf(model: Gmm, f: np.ndarray) -> float:
@@ -217,7 +234,7 @@ def _em_once(
     for _ in range(cfg.max_iters):
         model = Gmm(weights, means, variances)
         log_comp = _component_log_pdf(model, x)
-        row_ll = logsumexp(log_comp, axis=1)
+        row_ll = _logsumexp_rows(log_comp)
         avg_ll = float(row_ll.mean())
         history.append(avg_ll)
 
@@ -235,7 +252,7 @@ def _em_once(
         variances = np.maximum(variances, floor)
 
     model = Gmm(weights, means, variances)
-    final_ll = float(logsumexp(_component_log_pdf(model, x), axis=1).mean())
+    final_ll = float(_logsumexp_rows(_component_log_pdf(model, x)).mean())
     history.append(final_ll)
     return weights, means, variances, final_ll, history
 

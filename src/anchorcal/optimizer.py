@@ -378,7 +378,9 @@ def calibrate(
         model=model,
         reference_db=reference,
     )
-    assert result.fitness_calibrated >= result.fitness_source, (
-        "calibrated sizes must not score below the source sizes"
-    )
+    if not result.fitness_calibrated >= result.fitness_source:
+        raise CalibrationError(
+            f"calibrated sizes score {result.fitness_calibrated!r}, below the "
+            f"source sizes' {result.fitness_source!r}"
+        )
     return result

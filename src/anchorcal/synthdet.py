@@ -195,45 +195,64 @@ def _generate_frame(spec: SyntheticDomain, rng: np.random.Generator) -> Syntheti
     return SyntheticFrame(tuple(objects), clutter)
 
 
+# A rebuild covers at least this multiple of the previous reach2, so an
+# ascending sweep or growing DE mutants rebuild a few times, not once per step;
+# 2.0 builds as rarely but holds ~70 % more candidates and raises peak RSS.
+_TABLE_GROWTH = 1.5
+
+
 def _reach2(half: np.ndarray) -> float:
     """Squared radius of the sphere around a box center that holds every
     point the box can capture; the slack keeps face points in."""
     return float(half @ half) * (1.0 + 1e-9)
 
 
-def _box_local(rel: np.ndarray, yaw: float) -> np.ndarray:
-    """Rotate center-relative points into a box frame with the given yaw."""
+def _box_local(rel: np.ndarray, yaw: float, out: np.ndarray) -> None:
+    """Rotate (n, 3) center-relative points into a box frame with the given
+    yaw, written to the (3, n) coordinate rows out."""
     c, s = math.cos(yaw), math.sin(yaw)
-    local = np.empty_like(rel)
-    local[:, 0] = rel[:, 0] * c + rel[:, 1] * s
-    local[:, 1] = -rel[:, 0] * s + rel[:, 1] * c
-    local[:, 2] = rel[:, 2]
-    return local
+    out[0] = rel[:, 0] * c + rel[:, 1] * s
+    out[1] = -rel[:, 0] * s + rel[:, 1] * c
+    out[2] = rel[:, 2]
 
 
 def _inside_box(local: np.ndarray, half: np.ndarray) -> np.ndarray:
-    """Membership of box-local points in the box of half-extents half.
+    """Membership of box-local points, given as (3, n) coordinate rows, in the
+    box of half-extents half.
 
     Kept in float64: a float32 test moves decisions at the box faces."""
     lim = half * (1.0 + 1e-9) + 1e-12
     return (
-        (np.abs(local[:, 0]) <= lim[0])
-        & (np.abs(local[:, 1]) <= lim[1])
-        & (np.abs(local[:, 2]) <= lim[2])
+        (np.abs(local[0]) <= lim[0])
+        & (np.abs(local[1]) <= lim[1])
+        & (np.abs(local[2]) <= lim[2])
     )
 
 
 def _segment_sums(flags: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Set flags per segment, where segment i spans ends[i - 1]:ends[i] (from 0 for i = 0)."""
-    total = np.concatenate([[0], np.cumsum(flags)])
-    return total[ends] - total[np.concatenate([[0], ends[:-1]])]
+    """Set flags per segment, where segment i spans ends[i - 1]:ends[i] (from 0
+    for i = 0) and ends[-1] == len(flags).
+
+    reduceat runs over the non-empty segments only: it would return
+    flags[start] for an empty one and rejects a start at len(flags)."""
+    starts = np.concatenate([[0], ends])[:-1]
+    nonempty = starts < ends
+    sums = np.zeros(len(ends), dtype=np.int64)
+    sums[nonempty] = np.add.reduceat(flags, starts[nonempty], dtype=np.int64)
+    return sums
 
 
-def _occupancy_bins(local_points: np.ndarray, box_size: np.ndarray, grid: int) -> np.ndarray:
-    """Flat grid^3 cell index of each box-local point."""
-    u = local_points / box_size + 0.5
-    bins = np.clip(np.floor(u * grid).astype(np.int64), 0, grid - 1)
-    return (bins[:, 0] * grid + bins[:, 1]) * grid + bins[:, 2]
+def _occupancy_bins(local: np.ndarray, box_size: np.ndarray, grid: int) -> np.ndarray:
+    """Flat grid^3 cell index of each box-local point, given as (3, n)
+    coordinate rows."""
+    # in place, in this order of operations, which decides the bin at cell edges
+    u = local / box_size[:, None]
+    u += 0.5
+    u *= grid
+    np.floor(u, out=u)
+    np.clip(u, 0, grid - 1, out=u)
+    # whole numbers far below 2**53, so the dot product is exact in any order
+    return np.dot([grid * grid, grid, 1.0], u).astype(np.int64)
 
 
 def occupancy_feature(
@@ -243,7 +262,7 @@ def occupancy_feature(
     n = local_points.shape[0]
     if n == 0:
         return np.zeros(grid**3, dtype=np.float32)
-    counts = np.bincount(_occupancy_bins(local_points, box_size, grid), minlength=grid**3)
+    counts = np.bincount(_occupancy_bins(local_points.T, box_size, grid), minlength=grid**3)
     return (counts / n).astype(np.float32)
 
 
@@ -280,31 +299,35 @@ class _CandidateTables:
     """Per-object candidate points within sqrt(reach2) of the estimated center.
 
     Live objects (those with points) are numbered frame-major; object g owns
-    rows start[g]:start[g + 1] of the concatenated arrays, sorted by squared
-    distance r2 to its estimated center, so the candidates of any box whose
-    reach is at most reach2 form a prefix found by one searchsorted. local
-    holds the rows in the object's box frame; own flags the object's own points.
+    entries start[g]:start[g + 1] of the concatenated arrays, stably sorted by
+    squared distance r2 to its estimated center, so the candidates of any box
+    whose reach is at most reach2 form a prefix found by one searchsorted, in
+    the same order whatever reach the tables were built at. local holds the
+    points in the object's box frame, one contiguous row per axis, so the
+    per-axis passes of the kernel run over contiguous memory; own flags the
+    object's own points.
     """
 
     reach2: float
     start: np.ndarray  # (n_live + 1,) int64
-    r2: np.ndarray  # (N,) float64, ascending within each object's rows
-    local: np.ndarray  # (N, 3) float64
+    r2: np.ndarray  # (N,) float64, ascending within each object's entries
+    local: np.ndarray  # (3, N) float64, one row per box axis
     own: np.ndarray  # (N,) bool
 
     def prefix(self, g: int, reach2: float) -> slice:
-        """Rows of object g's candidates within sqrt(reach2) of its center."""
+        """Entries of object g's candidates within sqrt(reach2) of its center."""
         lo, hi = int(self.start[g]), int(self.start[g + 1])
-        return slice(lo, lo + int(np.searchsorted(self.r2[lo:hi], reach2, side="right")))
+        return slice(lo, lo + int(self.r2[lo:hi].searchsorted(reach2, side="right")))
 
 
 class SyntheticExtractor(FeatureExtractor):
     """FeatureExtractor over pre-generated synthetic frames.
 
-    Candidate points are served from _CandidateTables built on first use
-    and rebuilt, larger, only when a query reaches past them. A rebuilt
-    table is published by one assignment and never mutated, so concurrent
-    callers each see a complete table.
+    Candidate points are served from _CandidateTables built on first use at
+    the queried reach and rebuilt, at least _TABLE_GROWTH times larger, only
+    when a query reaches past them. A rebuilt table is published by one
+    assignment and never mutated, so concurrent callers each see a complete
+    table.
     """
 
     def __init__(self, frames: Sequence[SyntheticFrame], domain: SyntheticDomain) -> None:
@@ -360,12 +383,13 @@ class SyntheticExtractor(FeatureExtractor):
         return self._frames[self._frame_index(frame)]
 
     def _tables_reaching(self, reach2: float) -> _CandidateTables:
-        """Candidate tables covering reach2, built anew if the current ones fall short."""
+        """Candidate tables covering reach2, built anew, with growth headroom,
+        if the current ones fall short."""
         tables = self._tables
         if tables is not None and tables.reach2 >= reach2:
             return tables
         if tables is not None:
-            reach2 = max(reach2, tables.reach2)
+            reach2 = max(reach2, _TABLE_GROWTH * tables.reach2)
         r2s, nears = [], []
         for f, _, obj in self._live:
             rel = self._frames[f].points - obj.est_center
@@ -377,11 +401,11 @@ class SyntheticExtractor(FeatureExtractor):
         start = np.concatenate([[0], np.cumsum([len(n) for n in nears])]).astype(np.int64)
         # filled in place rather than concatenated, so building never holds
         # two copies of the new table
-        local = np.empty((int(start[-1]), 3))
+        local = np.empty((3, int(start[-1])))
         own = np.empty(int(start[-1]), dtype=bool)
         for (f, idx, obj), near, a, b in zip(self._live, nears, start[:-1], start[1:]):
             frame = self._frames[f]
-            local[a:b] = _box_local(frame.points[near] - obj.est_center, obj.est_yaw)
+            _box_local(frame.points[near] - obj.est_center, obj.est_yaw, local[:, a:b])
             own[a:b] = frame.owner[near] == idx
         r2 = np.concatenate(r2s) if r2s else np.empty(0)
         for arr in (start, r2, local, own):
@@ -400,14 +424,14 @@ class SyntheticExtractor(FeatureExtractor):
         proposals = []
         for g in ids:
             rows = tables.prefix(g, reach2)
-            local = tables.local[rows]
+            local = tables.local[:, rows]
             inside = _inside_box(local, half)
             n_in = int(np.count_nonzero(inside))
             own_in = int(np.count_nonzero(inside & tables.own[rows]))
             foreign_in = n_in - own_in
             own_out = self._live[g][2].n_points - own_in
             score = own_in / (own_in + foreign_in + own_out)
-            feature = occupancy_feature(local[inside], query, self.domain.grid_resolution)
+            feature = occupancy_feature(local[:, inside].T, query, self.domain.grid_resolution)
             proposals.append(ScoredProposal(score, feature))
         if self.domain.nms and len(proposals) > 1:
             kept = _nms_keep(
@@ -445,7 +469,7 @@ class SyntheticExtractor(FeatureExtractor):
             return np.empty((0, dim), dtype=np.float32)
         spans = [tables.prefix(g, reach2) for g in sel.tolist()]
         take = [span.stop - span.start for span in spans]
-        local = np.concatenate([tables.local[span] for span in spans])
+        local = np.concatenate([tables.local[:, span] for span in spans], axis=1)
         own = np.concatenate([tables.own[span] for span in spans])
         inside = _inside_box(local, half)
         ends = np.cumsum(take)
@@ -480,7 +504,9 @@ class SyntheticExtractor(FeatureExtractor):
             return np.empty((0, dim), dtype=np.float32)
         hit = inside & np.repeat(keep, take)
         cells = np.repeat(np.arange(n_out) * dim, n_in[keep])
-        cells += _occupancy_bins(local[hit], query, self.domain.grid_resolution)
+        cells += _occupancy_bins(
+            np.compress(hit, local, axis=1), query, self.domain.grid_resolution
+        )
         counts = np.bincount(cells, minlength=n_out * dim).reshape(n_out, dim)
         return (counts / n_in[keep][:, None]).astype(np.float32)
 

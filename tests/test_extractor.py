@@ -20,6 +20,7 @@ from anchorcal.synthdet import (
     SyntheticDomain,
     SyntheticExtractor,
     SyntheticFrame,
+    _reach2,
     generate_domain,
 )
 
@@ -178,6 +179,40 @@ def test_batched_gated_features_match_propose_bit_for_bit(grid, nms):
         big = AnchorSizes.from_array(CAR.as_array() * 2.0)
         live = sum(1 for fr in frames for o in fr.objects if o.n_points > 0)
         assert sum(len(reference.propose(f, big)) for f in order) < live
+
+
+@pytest.mark.parametrize("history", ["fresh", "grown", "built_larger"])
+def test_gated_features_do_not_depend_on_the_reach_tables_were_built_at(history):
+    # the same rows in the same order whether the tables were built at the
+    # query's reach, grown past it from a smaller one, or built far larger
+    spec = SyntheticDomain(
+        CAR, (0.04, 0.05, 0.03), seed=12, objects_per_frame=8.0,
+        frame_extent=(14.0, 14.0, 4.0), clutter_rate=3000.0,
+    )
+    frames = _with_edge_frames(generate_domain(spec, 6))
+    order = list(np.random.default_rng(2).permutation(len(frames)))
+    rng = np.random.default_rng(3)
+    factors = [np.full(3, 1.0), np.full(3, 0.4)] + [rng.uniform(0.4, 1.8, 3) for _ in range(5)]
+    for factor in factors:
+        query = CAR.as_array() * factor
+        sizes = AnchorSizes.from_array(query)
+        ex = SyntheticExtractor(frames, spec)
+        if history == "grown":
+            ex.gated_features(order, AnchorSizes.from_array(query * 0.9), 0.0)
+        elif history == "built_larger":
+            ex.gated_features(order, AnchorSizes.from_array(query * 3.0), 0.0)
+        for tau in (0.0, 0.6):
+            got = ex.gated_features(order, sizes, tau)
+            if history == "fresh":
+                assert ex._tables.reach2 == _reach2(query / 2.0)
+            else:
+                assert ex._tables.reach2 > _reach2(query / 2.0)
+            fresh = SyntheticExtractor(frames, spec)
+            want = FeatureExtractor.gated_features(fresh, order, sizes, tau)
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape
+            # propose() reads the same tables as the kernel
+            via_propose = FeatureExtractor.gated_features(ex, order, sizes, tau)
+            assert via_propose.tobytes() == want.tobytes()
 
 
 def test_concurrent_table_growth_matches_sequential_results():

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import logsumexp
 
 from anchorcal.core import EmptyDatabaseError, FeatureDatabase, InsufficientSamplesError
-from anchorcal.gmm import EmConfig, Gmm, fit_em, fitness, log_pdf, log_pdf_batch
+from anchorcal.gmm import EmConfig, Gmm, _logsumexp_rows, fit_em, fitness, log_pdf, log_pdf_batch
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -239,3 +240,19 @@ def test_fitness_of_model_samples_matches_monte_carlo_expectation():
     got = fitness(db, model)
     oracle = float(np.mean(log_pdf_batch(model, draw(1_000_000, np.random.default_rng(777)))))
     assert got == pytest.approx(oracle, abs=0.05)
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 16])
+def test_logsumexp_rows_matches_scipy_bit_for_bit(k):
+    # every artifact hashes fitness values, so the port must not move a bit
+    rng = np.random.default_rng(k)
+    for scale in (1e-3, 1.0, 1e2, 1e4):
+        a = rng.normal(size=(2000, k)) * scale - rng.uniform(0.0, 500.0, (2000, 1))
+        if k > 1:
+            a[::7, 1] = a[::7, 0]  # tied row maxima
+        a[:40] = np.round(a[:40])
+        assert _logsumexp_rows(a).tobytes() == logsumexp(a, axis=1).tobytes()
+    edge = np.array([[-np.inf] * k, [np.inf] + [0.0] * (k - 1), [-np.inf] * (k - 1) + [1.0]])
+    with np.errstate(all="ignore"):
+        want = logsumexp(edge, axis=1)
+    assert _logsumexp_rows(edge).tobytes() == want.tobytes()

@@ -15,6 +15,7 @@ from anchorcal.core import (
 )
 from anchorcal.extractor import GateConfig
 from anchorcal.gmm import EmConfig
+from anchorcal import optimizer
 from anchorcal.optimizer import (
     CalibrationResult,
     DeConfig,
@@ -324,3 +325,21 @@ def test_target_fitness_empty_db_is_minus_inf(small_shift):
     model = fit_em(build_reference_db(ex_s, list(ex_s.frames()), ref_gate), SMALL_EM)
     eval_fn = make_target_fitness(ex_t, list(ex_t.frames()), GateConfig(tau=1.0), model)
     assert eval_fn(SRC) == -math.inf
+
+
+def test_calibrate_raises_when_calibrated_scores_below_source(small_shift, monkeypatch):
+    # a search that returns worse sizes than the source must fail loudly,
+    # also under python -O
+    def worse_than_source(fitness_fn, init, source, config):
+        return CalibrationResult(
+            calibrated=init, source_sizes=source, fitness_calibrated=-1.0,
+            fitness_source=0.0, sweep_curves={}, de_trace=(-1.0,),
+            termination="converged", evaluations=0,
+        )
+
+    monkeypatch.setattr(optimizer, "differential_evolution", worse_than_source)
+    ex_s, ex_t = small_shift
+    with pytest.raises(CalibrationError, match="below the source"):
+        calibrate(ex_s, ex_t, list(ex_s.frames()), list(ex_t.frames()),
+                  em_config=SMALL_EM, sweep_configs=default_sweep_configs(steps=3),
+                  de_config=SMALL_DE)

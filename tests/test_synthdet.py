@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from anchorcal.core import AnchorSizes, UnknownFrameError
+from anchorcal.optimizer import default_sweep_configs
 from anchorcal.synthdet import (
+    _segment_sums,
     SyntheticDomain,
     SyntheticExtractor,
     SyntheticFrame,
@@ -286,3 +288,33 @@ def test_features_use_the_query_box_not_estimated_sizes():
         for idx, p in zip(live, ex.propose(f, query)):
             # suppressed size residuals: the feature depends on the query box, not est_size
             np.testing.assert_array_equal(p.feature, oracle_feature(frame, idx, query.as_array(), 4))
+
+
+def test_segment_sums_are_zero_for_empty_segments():
+    flags = np.array([True, False, True, True, False, True])
+    # leading, inner and trailing empty segments around three non-empty ones
+    ends = np.array([0, 2, 2, 5, 6, 6])
+    assert _segment_sums(flags, ends).tolist() == [0, 1, 0, 2, 1, 0]
+    nothing = np.zeros(0, dtype=bool)
+    assert _segment_sums(nothing, np.zeros(3, dtype=np.int64)).tolist() == [0, 0, 0]
+    assert _segment_sums(nothing, np.zeros(0, dtype=np.int64)).tolist() == []
+    assert _segment_sums(flags, np.array([6])).tolist() == [4]
+
+
+def test_ascending_sweep_rebuilds_candidate_tables_a_few_times():
+    # each sweep step reaches a little further than the last; the tables must
+    # grow ahead of the queries instead of being rebuilt at every step
+    source = AnchorSizes(2.1, 4.8, 1.8)
+    spec = SyntheticDomain(AnchorSizes(1.6, 3.9, 1.5), (0.04, 0.05, 0.03),
+                           clutter_rate=2000.0, seed=4)
+    ex = generate_domain(spec, 4)
+    builds = steps = 0
+    for cfg in default_sweep_configs(steps=21):
+        for value in cfg.grid(getattr(source, cfg.axis)):
+            sizes = dataclasses.replace(source, **{cfg.axis: float(value)})
+            before = ex._tables
+            ex.gated_features(ex.frames(), sizes, 0.6)
+            builds += ex._tables is not before
+            steps += 1
+    assert steps == 63
+    assert 1 <= builds <= 6
