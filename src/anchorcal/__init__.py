@@ -26,7 +26,7 @@ from .extractor import (
     build_reference_db,
     build_target_db,
 )
-from .gmm import EmConfig, Gmm, fit_em, fitness, log_pdf, log_pdf_batch
+from .gmm import EmConfig, Gmm, fit_em, fitness, log_pdf_batch
 from .optimizer import (
     CalibrationResult,
     DeConfig,
@@ -76,7 +76,6 @@ __all__ = [
     "fitness",
     "generate_domain",
     "linear_sweep",
-    "log_pdf",
     "log_pdf_batch",
     "make_target_fitness",
     "mean_capture_score",

@@ -47,6 +47,7 @@ from .storage import (
     domain_spec_from_json,
     load_curve,
     load_domain,
+    load_domain_spec,
     load_feature_db,
     load_gmm,
     load_result,
@@ -57,7 +58,7 @@ from .storage import (
     save_result,
     save_trace,
 )
-from .synthdet import SyntheticExtractor, generate_domain
+from .synthdet import SyntheticDomain, SyntheticExtractor, generate_domain
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -179,16 +180,33 @@ def _domain_cache_dir(cfg: RunConfig, role: str) -> Path:
     return cfg.out_dir / "domains" / role
 
 
-def _materialize(cfg: RunConfig, role: str) -> SyntheticExtractor:
-    """Load the domain for one role, preferring caches over regeneration."""
+def _stored_domain(cfg: RunConfig, role: str) -> Path | None:
+    """Where one role's domain is cached: the config's cache path, else the
+    directory gen staged in the output directory; None if neither exists."""
     section = cfg.source if role == "source" else cfg.target
     if section.cache is not None:
-        return load_domain(section.cache)
+        return section.cache
     staged = _domain_cache_dir(cfg, role)
-    if (staged / MANIFEST_NAME).exists():
-        return load_domain(staged)
-    spec = domain_spec_from_json(section.spec_fields)
-    return generate_domain(spec, section.n_frames)
+    return staged if (staged / MANIFEST_NAME).exists() else None
+
+
+def _materialize(cfg: RunConfig, role: str) -> SyntheticExtractor:
+    """Load the domain for one role, preferring caches over regeneration."""
+    stored = _stored_domain(cfg, role)
+    if stored is not None:
+        return load_domain(stored)
+    section = cfg.source if role == "source" else cfg.target
+    return generate_domain(domain_spec_from_json(section.spec_fields), section.n_frames)
+
+
+def _domain_spec(cfg: RunConfig, role: str) -> SyntheticDomain:
+    """One role's domain description, read from where _materialize would load
+    the domain, without reading or generating any frame."""
+    stored = _stored_domain(cfg, role)
+    if stored is not None:
+        return load_domain_spec(stored)
+    section = cfg.source if role == "source" else cfg.target
+    return domain_spec_from_json(section.spec_fields)
 
 
 def cmd_gen(cfg: RunConfig) -> int:
@@ -256,11 +274,11 @@ def _check_dims(model: Gmm, extractor: SyntheticExtractor) -> None:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     model = _get_model(cfg)
-    source = _materialize(cfg, "source")
+    source_sizes = _domain_spec(cfg, "source").size_mean
     target = _materialize(cfg, "target")
     _check_dims(model, target)
     eval_fn = make_target_fitness(target, list(target.frames()), cfg.gate, model)
-    _, curves = linear_sweep(eval_fn, source.source_sizes, cfg.sweep_configs)
+    _, curves = linear_sweep(eval_fn, source_sizes, cfg.sweep_configs)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     for axis, curve in curves.items():
         save_curve(curve, _curve_path(cfg, axis))
@@ -279,10 +297,14 @@ def _stored_curves(cfg: RunConfig) -> dict[str, tuple[tuple[float, float], ...]]
 
 
 def cmd_calibrate(cfg: RunConfig) -> int:
-    source = _materialize(cfg, "source")
-    target = _materialize(cfg, "target")
     model_path = _model_path(cfg)
     stored_model = load_gmm(model_path) if model_path.exists() else None
+    if stored_model is not None:
+        # a stored model skips the reference build: no source frame is read
+        source = SyntheticExtractor([], _domain_spec(cfg, "source"))
+    else:
+        source = _materialize(cfg, "source")
+    target = _materialize(cfg, "target")
     result = calibrate(
         source, target, list(source.frames()), list(target.frames()),
         gate=cfg.gate, em_config=cfg.em, sweep_configs=cfg.sweep_configs,

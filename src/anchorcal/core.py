@@ -158,19 +158,6 @@ class FeatureDatabase:
         return f"FeatureDatabase(dim={self._dim}, count={len(self)})"
 
     @classmethod
-    def from_vectors(cls, vectors: Sequence[FeatureVector], dim: int | None = None) -> "FeatureDatabase":
-        if not vectors:
-            if dim is None:
-                raise ValueError("dim is required for an empty database")
-            return cls(dim)
-        stacked = np.stack([np.asarray(v, dtype=np.float32) for v in vectors])
-        if dim is not None and stacked.shape[1] != dim:
-            raise DimensionMismatchError(
-                f"vectors have dimension {stacked.shape[1]}, expected {dim}"
-            )
-        return cls(stacked.shape[1], stacked)
-
-    @classmethod
     def concat(cls, parts: Sequence["FeatureDatabase"]) -> "FeatureDatabase":
         if not parts:
             raise ValueError("cannot concatenate zero databases")

@@ -103,15 +103,6 @@ class Gmm:
     def __repr__(self) -> str:
         return f"Gmm(k={self.k}, dim={self.dim})"
 
-    def peak_log_density(self) -> float:
-        """Upper bound on log p(x): the largest component peak log density.
-
-        p(x) <= sum_k w_k N(mu_k|mu_k,var_k) <= max_k N(mu_k|mu_k,var_k)
-        because the weights are a convex combination.
-        """
-        peaks = -0.5 * (self.dim * _LOG_2PI + np.log(self.variances).sum(axis=1))
-        return float(np.max(peaks))
-
 
 def _component_log_pdf(model: Gmm, x: np.ndarray) -> np.ndarray:
     """Per-component weighted log densities for rows of x, shape (n, k)."""
@@ -154,14 +145,6 @@ def log_pdf_batch(model: Gmm, x: np.ndarray) -> np.ndarray:
     if x.shape[0] == 0:
         return np.empty(0, dtype=np.float64)
     return _logsumexp_rows(_component_log_pdf(model, x))
-
-
-def log_pdf(model: Gmm, f: np.ndarray) -> float:
-    """Mixture log density of a single feature vector."""
-    f = np.asarray(f, dtype=np.float64)
-    if f.ndim != 1:
-        raise ValueError("expected a 1-D feature vector")
-    return float(log_pdf_batch(model, f[None, :])[0])
 
 
 def fitness(db: FeatureDatabase, model: Gmm) -> float:

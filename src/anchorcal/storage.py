@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import struct
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -210,30 +211,47 @@ def _pack_frame(frame: SyntheticFrame) -> bytes:
     return b"".join(chunks)
 
 
-def _unpack_frame(buf: bytes, offset: int) -> tuple[SyntheticFrame, int]:
-    n_objects, n_clutter = _FRAME_HEADER.unpack_from(buf, offset)
-    offset += _FRAME_HEADER.size
-    objects = []
-    for _ in range(n_objects):
-        fields = _OBJECT_HEADER.unpack_from(buf, offset)
-        offset += _OBJECT_HEADER.size
-        n_points = fields[14]
-        points = np.frombuffer(buf, dtype="<f8", count=n_points * 3, offset=offset)
-        offset += n_points * 24
-        objects.append(
-            SyntheticObject(
-                center=np.array(fields[0:3]),
-                size=np.array(fields[3:6]),
-                yaw=fields[6],
-                est_center=np.array(fields[7:10]),
-                est_size=np.array(fields[10:13]),
-                est_yaw=fields[13],
-                points=points.reshape(n_points, 3).copy(),
+class _FrameReader:
+    """Reads a frames file one frame at a time, checking each read against
+    the bytes left, so a cut or corrupt file raises FormatError before any
+    buffer is sized from a bad count."""
+
+    def __init__(self, fh, directory: Path) -> None:
+        self._fh = fh
+        self._directory = directory
+        self.left = os.fstat(fh.fileno()).st_size
+
+    def read(self, n: int) -> bytes:
+        data = self._fh.read(n) if n <= self.left else b""
+        if len(data) != n:
+            raise FormatError(f"{self._directory}: truncated frames file")
+        self.left -= n
+        return data
+
+    def unpack(self, layout: struct.Struct) -> tuple:
+        return layout.unpack(self.read(layout.size))
+
+    def points(self, n: int) -> np.ndarray:
+        return np.frombuffer(self.read(n * 24), dtype="<f8").reshape(n, 3)
+
+    def frame(self) -> SyntheticFrame:
+        n_objects, n_clutter = self.unpack(_FRAME_HEADER)
+        objects = []
+        for _ in range(n_objects):
+            fields = self.unpack(_OBJECT_HEADER)
+            objects.append(
+                SyntheticObject(
+                    center=np.array(fields[0:3]),
+                    size=np.array(fields[3:6]),
+                    yaw=fields[6],
+                    est_center=np.array(fields[7:10]),
+                    est_size=np.array(fields[10:13]),
+                    est_yaw=fields[13],
+                    points=self.points(fields[14]),
+                )
             )
-        )
-    clutter = np.frombuffer(buf, dtype="<f8", count=n_clutter * 3, offset=offset)
-    offset += n_clutter * 24
-    return SyntheticFrame(tuple(objects), clutter.reshape(n_clutter, 3).copy()), offset
+        # SyntheticFrame copies the read buffers into one points array
+        return SyntheticFrame(tuple(objects), self.points(n_clutter))
 
 
 def save_domain(extractor: SyntheticExtractor, directory: str | Path) -> None:
@@ -274,31 +292,32 @@ def domain_spec_from_json(raw: Mapping[str, object]) -> SyntheticDomain:
     return SyntheticDomain(mean, std, **fields)
 
 
-def load_domain(directory: str | Path) -> SyntheticExtractor:
-    directory = Path(directory)
+def _load_manifest(directory: Path) -> dict:
     manifest = _load_json(directory / MANIFEST_NAME)
     if not isinstance(manifest, dict) or "spec" not in manifest:
         raise FormatError(f"{directory}: manifest has no domain spec")
     if manifest.get("format_version") != DOMAIN_VERSION:
         raise FormatError(f"{directory}: unsupported cache version")
+    return manifest
+
+
+def load_domain_spec(directory: str | Path) -> SyntheticDomain:
+    """The domain description of a cached domain, from its manifest alone."""
+    return domain_spec_from_json(_load_manifest(Path(directory))["spec"])
+
+
+def load_domain(directory: str | Path) -> SyntheticExtractor:
+    directory = Path(directory)
+    manifest = _load_manifest(directory)
     spec = domain_spec_from_json(manifest["spec"])
-    buf = (directory / manifest.get("frames_file", FRAMES_NAME)).read_bytes()
-    try:
-        magic, version, n_frames = _DOMAIN_HEADER.unpack_from(buf)
-    except struct.error as exc:
-        raise FormatError(f"{directory}: truncated frames file") from exc
-    if magic != DOMAIN_MAGIC or version != DOMAIN_VERSION:
-        raise FormatError(f"{directory}: bad frames file header")
-    if n_frames != manifest.get("n_frames"):
-        raise FormatError(f"{directory}: manifest and frames file disagree on count")
-    offset = _DOMAIN_HEADER.size
-    frames = []
-    try:
-        for _ in range(n_frames):
-            frame, offset = _unpack_frame(buf, offset)
-            frames.append(frame)
-    except (struct.error, ValueError) as exc:
-        raise FormatError(f"{directory}: truncated frames file ({exc})") from exc
-    if offset != len(buf):
-        raise FormatError(f"{directory}: {len(buf) - offset} trailing bytes")
+    with open(directory / manifest.get("frames_file", FRAMES_NAME), "rb") as fh:
+        reader = _FrameReader(fh, directory)
+        magic, version, n_frames = reader.unpack(_DOMAIN_HEADER)
+        if magic != DOMAIN_MAGIC or version != DOMAIN_VERSION:
+            raise FormatError(f"{directory}: bad frames file header")
+        if n_frames != manifest.get("n_frames"):
+            raise FormatError(f"{directory}: manifest and frames file disagree on count")
+        frames = [reader.frame() for _ in range(n_frames)]
+    if reader.left:
+        raise FormatError(f"{directory}: {reader.left} trailing bytes")
     return SyntheticExtractor(frames, spec)

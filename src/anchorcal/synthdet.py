@@ -21,7 +21,7 @@ calibration exactly the way the pipeline assumes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -120,6 +120,10 @@ class SyntheticObject:
 
 @dataclass(frozen=True)
 class SyntheticFrame:
+    """One frame's objects and clutter, each point stored once: points holds
+    them all, objects first, and every object's points and the clutter are
+    views into it."""
+
     objects: tuple[SyntheticObject, ...]
     clutter: np.ndarray  # (m, 3)
     points: np.ndarray = field(init=False, repr=False)  # all points, objects first
@@ -127,11 +131,17 @@ class SyntheticFrame:
 
     def __post_init__(self) -> None:
         clutter = np.asarray(self.clutter, dtype=np.float64).reshape(-1, 3)
-        object.__setattr__(self, "clutter", clutter)
-        chunks = [o.points for o in self.objects] + [clutter]
-        owners = [np.full(o.n_points, i, dtype=np.int32) for i, o in enumerate(self.objects)]
+        points = np.concatenate([o.points for o in self.objects] + [clutter], axis=0)
+        bounds = np.cumsum([0] + [o.n_points for o in self.objects]).tolist()
+        objects = tuple(
+            replace(o, points=points[a:b])
+            for o, a, b in zip(self.objects, bounds, bounds[1:])
+        )
+        owners = [np.full(o.n_points, i, dtype=np.int32) for i, o in enumerate(objects)]
         owners.append(np.full(clutter.shape[0], -1, dtype=np.int32))
-        object.__setattr__(self, "points", np.concatenate(chunks, axis=0))
+        object.__setattr__(self, "objects", objects)
+        object.__setattr__(self, "clutter", points[bounds[-1] :])
+        object.__setattr__(self, "points", points)
         object.__setattr__(self, "owner", np.concatenate(owners, axis=0))
 
 
@@ -469,10 +479,16 @@ class SyntheticExtractor(FeatureExtractor):
             return np.empty((0, dim), dtype=np.float32)
         spans = [tables.prefix(g, reach2) for g in sel.tolist()]
         take = [span.stop - span.start for span in spans]
-        local = np.concatenate([tables.local[:, span] for span in spans], axis=1)
-        own = np.concatenate([tables.own[span] for span in spans])
-        inside = _inside_box(local, half)
         ends = np.cumsum(take)
+        if np.array_equal(sel, np.arange(len(self._live))) and np.array_equal(
+            ends, tables.start[1:]
+        ):
+            # the query reaches every table entry, in table order: no gather
+            local, own = tables.local, tables.own
+        else:
+            local = np.concatenate([tables.local[:, span] for span in spans], axis=1)
+            own = np.concatenate([tables.own[span] for span in spans])
+        inside = _inside_box(local, half)
         n_in = _segment_sums(inside, ends)
         own_in = _segment_sums(inside & own, ends)
         scores = own_in / (n_in + (self._live_npts[sel] - own_in))

@@ -141,6 +141,29 @@ def test_stage_outputs_are_idempotent(tmp_path):
     assert tree_hashes(out) == first
 
 
+def test_sweep_and_calibrate_with_a_stored_model_read_no_source_frame(tmp_path, capsys):
+    # sweep needs only the source's sizes, and calibrate with a stored model
+    # too, so a cut source frames file goes unread until the model is gone
+    trees = {}
+    for name in ("intact", "cut"):
+        out = tmp_path / name
+        cfg = write_config(tmp_path, small_config(out), f"{name}.json")
+        for command in ("gen", "refdb", "fit"):
+            assert run(command, "--config", cfg) == 0
+        frames = out / "domains" / "source" / "frames.bin"
+        if name == "cut":
+            frames.write_bytes(frames.read_bytes()[:100])
+        for command in ("sweep", "calibrate"):
+            assert run(command, "--config", cfg) == 0, f"{name}: {command}"
+        trees[name] = tree_hashes(out)
+        del trees[name]["domains/source/frames.bin"]
+    assert trees["cut"] == trees["intact"]
+    (tmp_path / "cut" / "model.json").unlink()
+    capsys.readouterr()
+    assert run("calibrate", "--config", tmp_path / "cut.json") == 3
+    assert "truncated frames file" in capsys.readouterr().err
+
+
 def test_report_prints_summary(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, small_config(out))

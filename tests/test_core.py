@@ -24,12 +24,10 @@ def test_database_rejects_mixed_dims_and_nonfinite():
         FeatureDatabase(3, np.zeros((2, 4), dtype=np.float32))
     with pytest.raises(ValueError):
         FeatureDatabase(2, np.array([[1.0, np.nan]], dtype=np.float32))
-    with pytest.raises(DimensionMismatchError):
-        FeatureDatabase.from_vectors([np.zeros(3), np.zeros(3)], dim=4)
 
 
 def test_database_concat_and_len():
-    a = FeatureDatabase.from_vectors([np.ones(2), 2 * np.ones(2)])
+    a = FeatureDatabase(2, np.array([np.ones(2), 2 * np.ones(2)]))
     b = FeatureDatabase(2)
     c = FeatureDatabase.concat([a, b, a])
     assert len(c) == 4
@@ -40,5 +38,5 @@ def test_database_concat_and_len():
 
 
 def test_database_rows_are_float32():
-    db = FeatureDatabase.from_vectors([np.array([0.1, 0.2], dtype=np.float64)])
+    db = FeatureDatabase(2, np.array([[0.1, 0.2]], dtype=np.float64))
     assert db.rows.dtype == np.float32

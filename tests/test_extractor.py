@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anchorcal import synthdet
 from anchorcal.core import AnchorSizes, EmptyDatabaseError, FeatureDatabase
 from anchorcal.extractor import (
     FeatureExtractor,
@@ -20,6 +21,7 @@ from anchorcal.synthdet import (
     SyntheticDomain,
     SyntheticExtractor,
     SyntheticFrame,
+    SyntheticObject,
     _reach2,
     generate_domain,
 )
@@ -179,6 +181,67 @@ def test_batched_gated_features_match_propose_bit_for_bit(grid, nms):
         big = AnchorSizes.from_array(CAR.as_array() * 2.0)
         live = sum(1 for fr in frames for o in fr.objects if o.n_points > 0)
         assert sum(len(reference.propose(f, big)) for f in order) < live
+
+
+def _kernel_rows(ex, order, sizes, tau, monkeypatch):
+    """The kernel's rows, and whether it read the candidate tables whole
+    rather than gathering the spans it needs."""
+    whole = []
+    inside_box = synthdet._inside_box
+
+    def spy(local, half):
+        whole.append(local is ex._tables.local)
+        return inside_box(local, half)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(synthdet, "_inside_box", spy)
+        rows = ex.gated_features(order, sizes, tau)
+    return rows, whole == [True]
+
+
+@pytest.mark.parametrize("grid", [1, 4])
+def test_query_reaching_the_whole_table_matches_propose_bit_for_bit(grid, monkeypatch):
+    # the first query of a fresh extractor over every frame in natural order
+    # reaches every table entry in table order, so the kernel reads the
+    # tables without gathering them; other queries gather
+    spec = SyntheticDomain(
+        CAR, (0.04, 0.05, 0.03), seed=12, objects_per_frame=8.0,
+        frame_extent=(14.0, 14.0, 4.0), clutter_rate=3000.0, grid_resolution=grid,
+    )
+    frames = _with_edge_frames(generate_domain(spec, 6))
+    ex = SyntheticExtractor(frames, spec)
+    natural = list(range(len(frames)))
+    queries = [
+        (natural, CAR, True),
+        (natural[::-1], CAR, False),
+        (natural[:3], CAR, False),
+        (natural, AnchorSizes.from_array(CAR.as_array() * 0.8), False),
+    ]
+    for order, sizes, expect_whole in queries:
+        for tau in (0.0, 0.6):
+            got, whole = _kernel_rows(ex, order, sizes, tau, monkeypatch)
+            assert whole is expect_whole
+            want = FeatureExtractor.gated_features(SyntheticExtractor(frames, spec), order, sizes, tau)
+            assert got.dtype == np.float32 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+    assert len(ex.gated_features(natural, CAR, 0.6)) > 0
+
+
+def test_reordered_query_with_whole_spans_still_gathers(monkeypatch):
+    # two one-object frames with as many points each: queried in reverse,
+    # every span still ends where the table's does, and only the order of
+    # the objects tells the kernel to gather
+    spec = SyntheticDomain(CAR, (0.0, 0.0, 0.0))
+    frames = []
+    for seed, x in ((0, -4.0), (1, 4.0)):
+        center = np.array([x, 0.0, 0.0])
+        pts = np.random.default_rng(seed).uniform(-0.45, 0.45, (40, 3)) * CAR.as_array()
+        obj = SyntheticObject(center, CAR.as_array(), 0.0, center, CAR.as_array(), 0.0, pts + center)
+        frames.append(SyntheticFrame((obj,), np.empty((0, 3))))
+    got, whole = _kernel_rows(SyntheticExtractor(frames, spec), [1, 0], CAR, 0.6, monkeypatch)
+    want = FeatureExtractor.gated_features(SyntheticExtractor(frames, spec), [1, 0], CAR, 0.6)
+    assert not whole
+    assert len(want) == 2 and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("history", ["fresh", "grown", "built_larger"])

@@ -186,9 +186,11 @@ def test_domain_cache_round_trip(tmp_path):
         a, b = ex.frame_data(f), loaded.frame_data(f)
         np.testing.assert_array_equal(a.points, b.points)
         np.testing.assert_array_equal(a.owner, b.owner)
+        assert np.shares_memory(b.clutter, b.points)
         for oa, ob in zip(a.objects, b.objects):
             assert oa.yaw == ob.yaw and oa.est_yaw == ob.est_yaw
             np.testing.assert_array_equal(oa.points, ob.points)
+            assert np.shares_memory(ob.points, b.points)
             np.testing.assert_array_equal(oa.est_center, ob.est_center)
             np.testing.assert_array_equal(oa.est_size, ob.est_size)
     # behavioral equivalence, not just array equality
@@ -209,13 +211,48 @@ def test_domain_cache_writes_are_deterministic(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def _frames_file_boundaries(data):
+    """Offsets where each header and point block of a frames file starts,
+    walked with struct alone: domain header <4sIQ, frame header <IQ (objects,
+    clutter points), object header <14dQ (last field: points), float64 xyz."""
+    bounds, offset = [0], 16
+    for _ in range(struct.unpack_from("<4sIQ", data)[2]):
+        bounds.append(offset)
+        n_objects, n_clutter = struct.unpack_from("<IQ", data, offset)
+        offset += 12
+        for _ in range(n_objects):
+            bounds.append(offset)
+            offset += 120
+            bounds.append(offset)
+            offset += 24 * struct.unpack_from("<14dQ", data, offset - 120)[14]
+        bounds.append(offset)
+        offset += 24 * n_clutter
+    assert offset == len(data)
+    return bounds + [offset]
+
+
 def test_domain_cache_rejects_truncation(tmp_path):
-    spec = SyntheticDomain(CAR, (0.0, 0.0, 0.0), clutter_rate=100.0, seed=2)
-    save_domain(generate_domain(spec, 2), tmp_path / "dom")
+    # a cut at 0, at every header and point-block boundary and one byte
+    # either side, halfway between boundaries and 9 bytes short of the end;
+    # then one byte appended
+    spec = SyntheticDomain(CAR, (0.0, 0.0, 0.0), objects_per_frame=2.0, clutter_rate=20.0, seed=2)
+    save_domain(generate_domain(spec, 3), tmp_path / "dom")
     frames = tmp_path / "dom" / "frames.bin"
-    frames.write_bytes(frames.read_bytes()[:-9])
-    with pytest.raises(FormatError):
+    data = frames.read_bytes()
+    bounds = _frames_file_boundaries(data)
+    assert len(bounds) > 8
+    cuts = {0, len(data) - 9}
+    cuts.update(b + d for b in bounds for d in (-1, 0, 1))
+    cuts.update((a + b) // 2 for a, b in zip(bounds, bounds[1:]))
+    for cut in sorted(c for c in cuts if 0 <= c < len(data)):
+        frames.write_bytes(data[:cut])
+        with pytest.raises(FormatError):
+            load_domain(tmp_path / "dom")
+    frames.write_bytes(data + b"\0")
+    with pytest.raises(FormatError, match="1 trailing bytes"):
         load_domain(tmp_path / "dom")
+    frames.write_bytes(data)
+    assert len(list(load_domain(tmp_path / "dom").frames())) == 3
 
 
 def test_domain_spec_from_json_rejects_unknown_fields():

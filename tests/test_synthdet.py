@@ -93,6 +93,27 @@ def test_generation_is_deterministic():
             assert oa.yaw == ob.yaw and oa.est_yaw == ob.est_yaw
 
 
+def test_frames_hold_each_point_once():
+    # every object's points and the clutter are views into the frame's points
+    rng = np.random.default_rng(0)
+    given = rng.normal(size=(7, 3))
+    obj = SyntheticObject(np.zeros(3), CAR.as_array(), 0.0, np.zeros(3), CAR.as_array(), 0.0, given)
+    hand_built = SyntheticFrame((obj, obj), rng.normal(size=(5, 3)))
+    spec = SyntheticDomain(CAR, (0.04, 0.05, 0.03), seed=4, clutter_rate=300.0)
+    generated = [generate_domain(spec, 3).frame_data(f) for f in range(3)]
+    for frame in generated + [hand_built]:
+        assert np.shares_memory(frame.clutter, frame.points)
+        for o in frame.objects:
+            assert np.shares_memory(o.points, frame.points)
+        parts = [o.points for o in frame.objects] + [frame.clutter]
+        np.testing.assert_array_equal(np.concatenate(parts), frame.points)
+    assert sum(len(fr.objects) for fr in generated) > 0
+    # the caller's object is left as it was
+    assert np.shares_memory(obj.points, given)
+    assert not np.shares_memory(given, hand_built.points)
+    np.testing.assert_array_equal(hand_built.objects[1].points, given)
+
+
 def test_propose_is_pure():
     spec = SyntheticDomain(CAR, (0.04, 0.05, 0.03), seed=9)
     ex = generate_domain(spec, 3)
