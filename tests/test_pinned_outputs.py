@@ -51,6 +51,16 @@ CHAIN_HASHES = {
     "trace.csv": "e4f4d3b140ffc8cf7629a50b4e57e314501389e81bf90f2ed8350fe752fbe3ab",
 }
 
+# the same config run one stage per process; calibrate reads the stored curves
+# and skips the sweep's evaluations, so its result and report differ
+STAGED_HASHES = {
+    **CHAIN_HASHES,
+    "model.json": "bb7da52a16a6b359246a4f20c9dca85a2daa1d590a4f86c5f90648b6b1f6a32a",
+    "reference.sfdb": "106650b197774b5fe2c99ed99860f92bbac315c3eda028674d0deb397da0d94d",
+    "report.txt": "4ef7bfe2c316600c2f6f68940f078c40956b0639e56998f24bde8dc9de08bcbb",
+    "result.json": "771788da79bb38308e5aa65547aed63f06711ccc77bb5a08e60098a826f48587",
+}
+
 BUNDLED_HASHES = {
     "result.json": "468877430233f5ab569f829b6dafd59ad8da81ce95d0d7cdb610303279232977",
     "sweep_h.csv": "8dbf8e4ceaf5240bd16d30b08bb9a903f3d2fbba8586d6279f0aed5121bf12e1",
@@ -82,6 +92,15 @@ def test_gen_calibrate_report_chain_matches_pinned_hashes(tmp_path):
     for command in ("gen", "calibrate", "report"):
         assert main([command, "--config", str(cfg)]) == 0, command
     assert_tree_matches(out, CHAIN_HASHES)
+
+
+def test_staged_chain_matches_pinned_hashes(tmp_path):
+    out = tmp_path / "out"
+    cfg = tmp_path / "chain.json"
+    cfg.write_text(json.dumps({**CHAIN_CONFIG, "out_dir": str(out)}))
+    for command in ("gen", "refdb", "fit", "sweep", "calibrate", "report"):
+        assert main([command, "--config", str(cfg)]) == 0, command
+    assert_tree_matches(out, STAGED_HASHES)
 
 
 def test_bundled_calibrate_matches_pinned_hashes(tmp_path):
