@@ -71,7 +71,6 @@ SOURCE_SEED_OFFSET = 1
 TARGET_SEED_OFFSET = 2
 EM_SEED_OFFSET = 101
 DE_SEED_OFFSET = 202
-SUBSET_SEED_OFFSET = 303
 
 DEFAULT_N_FRAMES = 30
 
@@ -85,9 +84,6 @@ class DomainSection:
     cache: Path | None
     spec_fields: Mapping[str, object] | None
     n_frames: int
-
-    def can_generate(self) -> bool:
-        return self.spec_fields is not None
 
 
 @dataclass(frozen=True)
@@ -146,7 +142,6 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
     gate_raw = dict(_section(raw, "gate"))
     if overrides.tau is not None:
         gate_raw["tau"] = overrides.tau
-    gate_raw.setdefault("subset_seed", seed + SUBSET_SEED_OFFSET)
     gate = GateConfig(**gate_raw)
 
     em_raw = dict(_section(raw, "em"))
@@ -183,7 +178,7 @@ def _domain_cache_dir(cfg: RunConfig, role: str) -> Path:
 def _stored_domain(cfg: RunConfig, role: str) -> Path | None:
     """Where one role's domain is cached: the config's cache path, else the
     directory gen staged in the output directory; None if neither exists."""
-    section = cfg.source if role == "source" else cfg.target
+    section = getattr(cfg, role)
     if section.cache is not None:
         return section.cache
     staged = _domain_cache_dir(cfg, role)
@@ -195,7 +190,7 @@ def _materialize(cfg: RunConfig, role: str) -> SyntheticExtractor:
     stored = _stored_domain(cfg, role)
     if stored is not None:
         return load_domain(stored)
-    section = cfg.source if role == "source" else cfg.target
+    section = getattr(cfg, role)
     return generate_domain(domain_spec_from_json(section.spec_fields), section.n_frames)
 
 
@@ -205,14 +200,13 @@ def _domain_spec(cfg: RunConfig, role: str) -> SyntheticDomain:
     stored = _stored_domain(cfg, role)
     if stored is not None:
         return load_domain_spec(stored)
-    section = cfg.source if role == "source" else cfg.target
-    return domain_spec_from_json(section.spec_fields)
+    return domain_spec_from_json(getattr(cfg, role).spec_fields)
 
 
 def cmd_gen(cfg: RunConfig) -> int:
     for role in ("source", "target"):
-        section = cfg.source if role == "source" else cfg.target
-        if not section.can_generate():
+        section = getattr(cfg, role)
+        if section.spec_fields is None:
             raise ValueError(f"{role}: cache-only section, nothing to generate")
         spec = domain_spec_from_json(section.spec_fields)
         extractor = generate_domain(spec, section.n_frames)

@@ -25,22 +25,16 @@ class GateConfig:
 
     tau: proposals enter the database only when score > tau (strict).
     max_features: optional cap, applied after a deterministic frame order.
-    frame_subset: optional fraction of frames to keep, selected by a seeded
-        shuffle-then-prefix so the subset is reproducible.
     """
 
     tau: float = 0.6
     max_features: int | None = None
-    frame_subset: float | None = None
-    subset_seed: int = 0
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.tau <= 1.0):
             raise ValueError(f"tau must lie in [0, 1], got {self.tau!r}")
         if self.max_features is not None and self.max_features < 1:
             raise ValueError("max_features must be >= 1 when given")
-        if self.frame_subset is not None and not (0.0 < self.frame_subset <= 1.0):
-            raise ValueError("frame_subset must lie in (0, 1] when given")
 
 
 class FeatureExtractor(ABC):
@@ -86,23 +80,13 @@ class FeatureExtractor(ABC):
         return np.stack(rows).astype(np.float32, copy=False)
 
 
-def _select_frames(frames: Sequence[FrameId], gate: GateConfig) -> list[FrameId]:
-    frames = list(frames)
-    if gate.frame_subset is None or gate.frame_subset >= 1.0:
-        return frames
-    rng = np.random.default_rng(gate.subset_seed)
-    perm = rng.permutation(len(frames))
-    keep = max(1, int(np.ceil(gate.frame_subset * len(frames))))
-    return [frames[i] for i in perm[:keep]]
-
-
 def _collect(
     extractor: FeatureExtractor,
     frames: Sequence[FrameId],
     sizes: AnchorSizes,
     gate: GateConfig,
 ) -> FeatureDatabase:
-    rows = extractor.gated_features(_select_frames(frames, gate), sizes, gate.tau)
+    rows = extractor.gated_features(frames, sizes, gate.tau)
     if gate.max_features is not None:
         rows = rows[: gate.max_features]
     return FeatureDatabase(extractor.feature_dim, rows)

@@ -355,14 +355,10 @@ def calibrate(
     if sweep_curves is None:
         if sweep_configs is None:
             sweep_configs = default_sweep_configs()
-        init, curves = linear_sweep(counter, source, sweep_configs)
+        init, sweep_curves = linear_sweep(counter, source, sweep_configs)
         sweep_evals = sum(cfg.steps for cfg in sweep_configs)
     else:
-        curves = {
-            str(axis): tuple((float(v), float(f)) for v, f in curve)
-            for axis, curve in sweep_curves.items()
-        }
-        init = initial_candidate_from_curves(curves, source)
+        init = initial_candidate_from_curves(sweep_curves, source)
         sweep_evals = 0
 
     de_result = differential_evolution(counter, init, source, de_config)
@@ -373,7 +369,7 @@ def calibrate(
         )
     result = dataclasses.replace(
         de_result,
-        sweep_curves=curves,
+        sweep_curves=sweep_curves,
         evaluations=counter.count,
         model=model,
         reference_db=reference,

@@ -226,17 +226,21 @@ def _box_local(rel: np.ndarray, yaw: float, out: np.ndarray) -> None:
     out[2] = rel[:, 2]
 
 
-def _inside_box(local: np.ndarray, half: np.ndarray) -> np.ndarray:
-    """Membership of box-local points, given as (3, n) coordinate rows, in the
-    box of half-extents half.
+def _captured(r2: np.ndarray, local: np.ndarray, reach2: float, half: np.ndarray) -> np.ndarray:
+    """Which candidates a box of half-extents half captures, given their
+    squared distances r2 to its center and their box-local coordinates as
+    (3, n) rows: those inside the box and within sqrt(reach2), the cut a
+    table built at a larger reach leaves to the query.
 
-    Kept in float64: a float32 test moves decisions at the box faces."""
+    Built in one boolean buffer. Kept in float64: a float32 test moves
+    decisions at the box faces."""
     lim = half * (1.0 + 1e-9) + 1e-12
-    return (
-        (np.abs(local[0]) <= lim[0])
-        & (np.abs(local[1]) <= lim[1])
-        & (np.abs(local[2]) <= lim[2])
-    )
+    captured = r2 <= reach2
+    for axis in range(3):
+        # -lim <= x <= lim decides exactly as |x| <= lim, without a float temporary
+        captured &= local[axis] <= lim[axis]
+        captured &= local[axis] >= -lim[axis]
+    return captured
 
 
 def _segment_sums(flags: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -254,15 +258,15 @@ def _segment_sums(flags: np.ndarray, ends: np.ndarray) -> np.ndarray:
 
 def _occupancy_bins(local: np.ndarray, box_size: np.ndarray, grid: int) -> np.ndarray:
     """Flat grid^3 cell index of each box-local point, given as (3, n)
-    coordinate rows."""
+    coordinate rows, which it overwrites."""
     # in place, in this order of operations, which decides the bin at cell edges
-    u = local / box_size[:, None]
-    u += 0.5
-    u *= grid
-    np.floor(u, out=u)
-    np.clip(u, 0, grid - 1, out=u)
+    local /= box_size[:, None]
+    local += 0.5
+    local *= grid
+    np.floor(local, out=local)
+    np.clip(local, 0, grid - 1, out=local)
     # whole numbers far below 2**53, so the dot product is exact in any order
-    return np.dot([grid * grid, grid, 1.0], u).astype(np.int64)
+    return np.dot([grid * grid, grid, 1.0], local).astype(np.int64)
 
 
 def occupancy_feature(
@@ -272,7 +276,8 @@ def occupancy_feature(
     n = local_points.shape[0]
     if n == 0:
         return np.zeros(grid**3, dtype=np.float32)
-    counts = np.bincount(_occupancy_bins(local_points.T, box_size, grid), minlength=grid**3)
+    bins = _occupancy_bins(local_points.T.copy(), box_size, grid)
+    counts = np.bincount(bins, minlength=grid**3)
     return (counts / n).astype(np.float32)
 
 
@@ -309,25 +314,20 @@ class _CandidateTables:
     """Per-object candidate points within sqrt(reach2) of the estimated center.
 
     Live objects (those with points) are numbered frame-major; object g owns
-    entries start[g]:start[g + 1] of the concatenated arrays, stably sorted by
-    squared distance r2 to its estimated center, so the candidates of any box
-    whose reach is at most reach2 form a prefix found by one searchsorted, in
-    the same order whatever reach the tables were built at. local holds the
-    points in the object's box frame, one contiguous row per axis, so the
-    per-axis passes of the kernel run over contiguous memory; own flags the
-    object's own points.
+    entries start[g]:start[g + 1] of the concatenated arrays, in its frame's
+    point order. r2 is each entry's squared distance to the estimated center,
+    so a query of smaller reach masks it and sees the same candidates
+    whatever reach the tables were built at. local holds the points in the
+    object's box frame, one contiguous row per axis, so the per-axis passes
+    of the kernel run over contiguous memory; own flags the object's own
+    points.
     """
 
     reach2: float
     start: np.ndarray  # (n_live + 1,) int64
-    r2: np.ndarray  # (N,) float64, ascending within each object's entries
+    r2: np.ndarray  # (N,) float64
     local: np.ndarray  # (3, N) float64, one row per box axis
     own: np.ndarray  # (N,) bool
-
-    def prefix(self, g: int, reach2: float) -> slice:
-        """Entries of object g's candidates within sqrt(reach2) of its center."""
-        lo, hi = int(self.start[g]), int(self.start[g + 1])
-        return slice(lo, lo + int(self.r2[lo:hi].searchsorted(reach2, side="right")))
 
 
 class SyntheticExtractor(FeatureExtractor):
@@ -405,7 +405,6 @@ class SyntheticExtractor(FeatureExtractor):
             rel = self._frames[f].points - obj.est_center
             r2 = np.einsum("ij,ij->i", rel, rel)
             near = np.flatnonzero(r2 <= reach2)
-            near = near[np.argsort(r2[near], kind="stable")]
             r2s.append(r2[near])
             nears.append(near)
         start = np.concatenate([[0], np.cumsum([len(n) for n in nears])]).astype(np.int64)
@@ -433,9 +432,9 @@ class SyntheticExtractor(FeatureExtractor):
         ids = range(self._live_start[f], self._live_start[f + 1])
         proposals = []
         for g in ids:
-            rows = tables.prefix(g, reach2)
+            rows = slice(tables.start[g], tables.start[g + 1])
             local = tables.local[:, rows]
-            inside = _inside_box(local, half)
+            inside = _captured(tables.r2[rows], local, reach2, half)
             n_in = int(np.count_nonzero(inside))
             own_in = int(np.count_nonzero(inside & tables.own[rows]))
             foreign_in = n_in - own_in
@@ -459,8 +458,10 @@ class SyntheticExtractor(FeatureExtractor):
         """Batched gated_features over the requested frames in one pass.
 
         Equal bit for bit to gating propose() frame by frame: the same
-        candidate prefixes, inside test, binning and NMS, vectorized over
-        every object of every requested frame.
+        capture test, binning and NMS. One pass over the whole candidate
+        table scores every live object; the requested frames only choose
+        which objects reach the output, and in what order, so histograms
+        are binned by live object and then picked by output position.
         """
         frames = [self._frame_index(f) for f in frames]
         query = sizes.as_array()
@@ -474,24 +475,11 @@ class SyntheticExtractor(FeatureExtractor):
         sel = np.concatenate(
             [np.arange(a, b, dtype=np.int64) for a, b in per_frame] + [np.empty(0, np.int64)]
         )
-        m = len(sel)
-        if m == 0:
-            return np.empty((0, dim), dtype=np.float32)
-        spans = [tables.prefix(g, reach2) for g in sel.tolist()]
-        take = [span.stop - span.start for span in spans]
-        ends = np.cumsum(take)
-        if np.array_equal(sel, np.arange(len(self._live))) and np.array_equal(
-            ends, tables.start[1:]
-        ):
-            # the query reaches every table entry, in table order: no gather
-            local, own = tables.local, tables.own
-        else:
-            local = np.concatenate([tables.local[:, span] for span in spans], axis=1)
-            own = np.concatenate([tables.own[span] for span in spans])
-        inside = _inside_box(local, half)
-        n_in = _segment_sums(inside, ends)
-        own_in = _segment_sums(inside & own, ends)
-        scores = own_in / (n_in + (self._live_npts[sel] - own_in))
+        ends = tables.start[1:]
+        captured = _captured(tables.r2, tables.local, reach2, half)
+        n_in = _segment_sums(captured, ends)
+        own_in = _segment_sums(captured & tables.own, ends)
+        scores = (own_in / (n_in + (self._live_npts - own_in)))[sel]
 
         keep = scores > tau
         if self.domain.nms and len(self._pair_frame):
@@ -515,16 +503,17 @@ class SyntheticExtractor(FeatureExtractor):
                     keep[pos : pos + n] &= survives
                 pos += n
 
-        n_out = int(np.count_nonzero(keep))
-        if n_out == 0:
-            return np.empty((0, dim), dtype=np.float32)
-        hit = inside & np.repeat(keep, take)
-        cells = np.repeat(np.arange(n_out) * dim, n_in[keep])
-        cells += _occupancy_bins(
-            np.compress(hit, local, axis=1), query, self.domain.grid_resolution
+        out = sel[keep]
+        # histograms of the kept objects only, binned by live-object id
+        binned = np.zeros(len(n_in), dtype=bool)
+        binned[out] = True
+        captured &= np.repeat(binned, np.diff(tables.start))
+        cells = _occupancy_bins(
+            np.compress(captured, tables.local, axis=1), query, self.domain.grid_resolution
         )
-        counts = np.bincount(cells, minlength=n_out * dim).reshape(n_out, dim)
-        return (counts / n_in[keep][:, None]).astype(np.float32)
+        cells += np.repeat(np.arange(len(n_in)) * dim, np.where(binned, n_in, 0))
+        counts = np.bincount(cells, minlength=len(n_in) * dim).reshape(-1, dim)
+        return (counts[out] / n_in[out][:, None]).astype(np.float32)
 
 
 def generate_domain(spec: SyntheticDomain, n_frames: int) -> SyntheticExtractor:

@@ -228,6 +228,12 @@ def test_unknown_top_level_key_is_config_error(tmp_path, capsys):
     assert "threads" in capsys.readouterr().err
 
 
+def test_frame_subset_gate_key_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, small_config(tmp_path / "out", gate={"frame_subset": 0.5}))
+    assert run("gen", "--config", cfg) == 2
+    assert "frame_subset" in capsys.readouterr().err
+
+
 def test_bad_sweep_axes_is_config_error(tmp_path):
     cfg = write_config(tmp_path, small_config(tmp_path / "out", sweep={"axes": ["w", "w"]}))
     assert run("gen", "--config", cfg) == 2

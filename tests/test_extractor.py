@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anchorcal import synthdet
 from anchorcal.core import AnchorSizes, EmptyDatabaseError, FeatureDatabase
 from anchorcal.extractor import (
     FeatureExtractor,
@@ -41,8 +40,6 @@ def test_gate_config_validation():
         GateConfig(tau=1.5)
     with pytest.raises(ValueError, match="max_features"):
         GateConfig(max_features=0)
-    with pytest.raises(ValueError, match="frame_subset"):
-        GateConfig(frame_subset=0.0)
 
 
 @settings(max_examples=20, deadline=None)
@@ -97,27 +94,6 @@ def test_max_features_truncates(domain):
     np.testing.assert_array_equal(capped.rows, full.rows[:10])
 
 
-def test_frame_subset_is_deterministic_and_smaller(domain):
-    ex, frames = domain
-    gate = GateConfig(tau=0.6, frame_subset=0.3, subset_seed=4)
-    a = build_reference_db(ex, frames, gate)
-    b = build_reference_db(ex, frames, gate)
-    assert a == b
-    assert 0 < len(a) < len(build_reference_db(ex, frames, GateConfig(tau=0.6)))
-    other = build_reference_db(
-        ex, frames, GateConfig(tau=0.6, frame_subset=0.3, subset_seed=5)
-    )
-    assert a != other
-
-
-@given(st.floats(0.01, 1.0, allow_nan=False))
-@settings(max_examples=10, deadline=None)
-def test_frame_subset_never_empty(domain, fraction):
-    ex, frames = domain
-    gate = GateConfig(tau=0.0, frame_subset=fraction)
-    assert len(build_reference_db(ex, frames, gate)) > 0
-
-
 def test_target_at_source_sizes_equals_reference(domain):
     ex, frames = domain
     gate = GateConfig(tau=0.6)
@@ -157,6 +133,10 @@ def test_batched_gated_features_match_propose_bit_for_bit(grid, nms):
     batched = SyntheticExtractor(frames, spec)
     reference = SyntheticExtractor(frames, spec)
     order = list(np.random.default_rng(0).permutation(len(frames)))
+    natural = list(range(len(frames)))
+    # the kernel reads the whole table for any frame list; every list but the
+    # first picks objects out of it in another order, in part or twice
+    orders = [natural, natural[::-1], natural[:3], natural[:4] + [2, 0, 2], order]
     gate = GateConfig(tau=0.6)
     model = fit_em(build_reference_db(reference, order, gate), EmConfig(k=2, seed=0))
 
@@ -169,79 +149,19 @@ def test_batched_gated_features_match_propose_bit_for_bit(grid, nms):
     fits = []
     for factor in factors:
         sizes = AnchorSizes.from_array(CAR.as_array() * factor)
-        for tau in (0.0, gate.tau):
-            got = batched.gated_features(order, sizes, tau)
-            want = FeatureExtractor.gated_features(reference, order, sizes, tau)
-            assert got.dtype == np.float32 and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-        fits.append(score(got))
+        for query in orders:
+            for tau in (0.0, gate.tau):
+                got = batched.gated_features(query, sizes, tau)
+                want = FeatureExtractor.gated_features(reference, query, sizes, tau)
+                assert got.dtype == np.float32 and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+        fits.append(score(got))  # of the last frame list, order
         assert fits[-1] == score(want)
     assert fits[0] == -math.inf and math.isfinite(fits[3])  # 0.3x gates to empty
     if nms:
         big = AnchorSizes.from_array(CAR.as_array() * 2.0)
         live = sum(1 for fr in frames for o in fr.objects if o.n_points > 0)
         assert sum(len(reference.propose(f, big)) for f in order) < live
-
-
-def _kernel_rows(ex, order, sizes, tau, monkeypatch):
-    """The kernel's rows, and whether it read the candidate tables whole
-    rather than gathering the spans it needs."""
-    whole = []
-    inside_box = synthdet._inside_box
-
-    def spy(local, half):
-        whole.append(local is ex._tables.local)
-        return inside_box(local, half)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(synthdet, "_inside_box", spy)
-        rows = ex.gated_features(order, sizes, tau)
-    return rows, whole == [True]
-
-
-@pytest.mark.parametrize("grid", [1, 4])
-def test_query_reaching_the_whole_table_matches_propose_bit_for_bit(grid, monkeypatch):
-    # the first query of a fresh extractor over every frame in natural order
-    # reaches every table entry in table order, so the kernel reads the
-    # tables without gathering them; other queries gather
-    spec = SyntheticDomain(
-        CAR, (0.04, 0.05, 0.03), seed=12, objects_per_frame=8.0,
-        frame_extent=(14.0, 14.0, 4.0), clutter_rate=3000.0, grid_resolution=grid,
-    )
-    frames = _with_edge_frames(generate_domain(spec, 6))
-    ex = SyntheticExtractor(frames, spec)
-    natural = list(range(len(frames)))
-    queries = [
-        (natural, CAR, True),
-        (natural[::-1], CAR, False),
-        (natural[:3], CAR, False),
-        (natural, AnchorSizes.from_array(CAR.as_array() * 0.8), False),
-    ]
-    for order, sizes, expect_whole in queries:
-        for tau in (0.0, 0.6):
-            got, whole = _kernel_rows(ex, order, sizes, tau, monkeypatch)
-            assert whole is expect_whole
-            want = FeatureExtractor.gated_features(SyntheticExtractor(frames, spec), order, sizes, tau)
-            assert got.dtype == np.float32 and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-    assert len(ex.gated_features(natural, CAR, 0.6)) > 0
-
-
-def test_reordered_query_with_whole_spans_still_gathers(monkeypatch):
-    # two one-object frames with as many points each: queried in reverse,
-    # every span still ends where the table's does, and only the order of
-    # the objects tells the kernel to gather
-    spec = SyntheticDomain(CAR, (0.0, 0.0, 0.0))
-    frames = []
-    for seed, x in ((0, -4.0), (1, 4.0)):
-        center = np.array([x, 0.0, 0.0])
-        pts = np.random.default_rng(seed).uniform(-0.45, 0.45, (40, 3)) * CAR.as_array()
-        obj = SyntheticObject(center, CAR.as_array(), 0.0, center, CAR.as_array(), 0.0, pts + center)
-        frames.append(SyntheticFrame((obj,), np.empty((0, 3))))
-    got, whole = _kernel_rows(SyntheticExtractor(frames, spec), [1, 0], CAR, 0.6, monkeypatch)
-    want = FeatureExtractor.gated_features(SyntheticExtractor(frames, spec), [1, 0], CAR, 0.6)
-    assert not whole
-    assert len(want) == 2 and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("history", ["fresh", "grown", "built_larger"])
@@ -276,6 +196,26 @@ def test_gated_features_do_not_depend_on_the_reach_tables_were_built_at(history)
             # propose() reads the same tables as the kernel
             via_propose = FeatureExtractor.gated_features(ex, order, sizes, tau)
             assert via_propose.tobytes() == want.tobytes()
+
+
+def test_box_corner_beyond_reach_is_not_captured_from_larger_tables():
+    # a clutter point inside the box test's slack at a corner but outside the
+    # reach sphere: a table built at the query's reach leaves it out, so one
+    # built larger must too
+    spec = SyntheticDomain(CAR, (0.0, 0.0, 0.0))
+    half = CAR.as_array() / 2.0
+    pts = np.random.default_rng(0).uniform(-0.45, 0.45, (40, 3)) * CAR.as_array()
+    zero = np.zeros(3)
+    obj = SyntheticObject(zero, CAR.as_array(), 0.0, zero, CAR.as_array(), 0.0, pts)
+    corner = half * (1.0 + 0.9e-9)
+    assert corner @ corner > _reach2(half)
+    frames = [SyntheticFrame((obj,), corner[None])]
+    fresh = SyntheticExtractor(frames, spec)
+    grown = SyntheticExtractor(frames, spec)
+    grown.gated_features([0], AnchorSizes.from_array(CAR.as_array() * 3.0), 0.0)
+    assert [p.score for p in grown.propose(0, CAR)] == [p.score for p in fresh.propose(0, CAR)] == [1.0]
+    want = FeatureExtractor.gated_features(fresh, [0], CAR, 0.0)
+    assert grown.gated_features([0], CAR, 0.0).tobytes() == want.tobytes()
 
 
 def test_concurrent_table_growth_matches_sequential_results():
