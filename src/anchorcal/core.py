@@ -8,7 +8,7 @@ alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -50,6 +50,9 @@ def normalize_yaw(theta: float) -> float:
     return float((theta + math.pi) % (2.0 * math.pi) - math.pi)
 
 
+SIZE_AXES = ("w", "l", "h")
+
+
 @dataclass(frozen=True)
 class AnchorSizes:
     """Width, length, height of an anchor box in meters. All positive."""
@@ -59,7 +62,7 @@ class AnchorSizes:
     h: float
 
     def __post_init__(self) -> None:
-        for name in ("w", "l", "h"):
+        for name in SIZE_AXES:
             v = getattr(self, name)
             if not math.isfinite(v) or v <= 0.0:
                 raise ValueError(f"anchor size {name} must be finite and positive, got {v!r}")
@@ -73,19 +76,14 @@ class AnchorSizes:
         return cls(w, l, h)
 
     def axis(self, name: str) -> float:
-        if name not in ("w", "l", "h"):
+        if name not in SIZE_AXES:
             raise ValueError(f"unknown size axis {name!r}")
         return float(getattr(self, name))
 
     def replace_axis(self, name: str, value: float) -> "AnchorSizes":
-        if name not in ("w", "l", "h"):
+        if name not in SIZE_AXES:
             raise ValueError(f"unknown size axis {name!r}")
-        fields = {"w": self.w, "l": self.l, "h": self.h}
-        fields[name] = float(value)
-        return AnchorSizes(**fields)
-
-
-SIZE_AXES = ("w", "l", "h")
+        return replace(self, **{name: float(value)})
 
 
 @dataclass(frozen=True)

@@ -204,7 +204,7 @@ def linear_sweep(
         curve = tuple((float(v), float(f)) for v, f in zip(values, fits))
         winners[cfg.axis] = _curve_argmax(curve, source.axis(cfg.axis), cfg.axis)
         curves[cfg.axis] = curve
-    return AnchorSizes(winners["w"], winners["l"], winners["h"]), curves
+    return AnchorSizes(**winners), curves
 
 
 def initial_candidate_from_curves(
@@ -216,7 +216,7 @@ def initial_candidate_from_curves(
         if axis not in SIZE_AXES:
             raise ValueError(f"unknown sweep axis {axis!r}")
         winners[axis] = _curve_argmax(list(curve), source.axis(axis), axis)
-    return AnchorSizes(winners["w"], winners["l"], winners["h"])
+    return AnchorSizes(**winners)
 
 
 def differential_evolution(

@@ -65,7 +65,10 @@ def load_feature_db(path: str | Path) -> FeatureDatabase:
     if len(data) != expected:
         raise FormatError(f"{path}: expected {expected} bytes, found {len(data)}")
     rows = np.frombuffer(data, dtype="<f4", offset=_SFDB_HEADER.size).reshape(count, dim)
-    return FeatureDatabase(dim, rows.astype(np.float32))
+    try:
+        return FeatureDatabase(dim, rows.astype(np.float32))
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def _dump_json(payload: object, path: Path) -> None:
@@ -105,10 +108,6 @@ def _encode_float(value: float) -> float | str:
     return value if math.isfinite(value) else repr(value)
 
 
-def _decode_float(value: object) -> float:
-    return float(value)  # accepts numbers and "inf"/"-inf"/"nan" strings
-
-
 def _sizes_to_json(sizes: AnchorSizes) -> dict[str, float]:
     return {"w": sizes.w, "l": sizes.l, "h": sizes.h}
 
@@ -138,17 +137,17 @@ def load_result(path: str | Path) -> CalibrationResult:
     raw = _load_json(path)
     if not isinstance(raw, dict) or "calibrated" not in raw:
         raise FormatError(f"{path}: not a calibration result file")
-    try:
+    try:  # float() also reads the "inf"/"-inf"/"nan" strings _encode_float writes
         return CalibrationResult(
             calibrated=_sizes_from_json(raw["calibrated"]),
             source_sizes=_sizes_from_json(raw["source_sizes"]),
-            fitness_calibrated=_decode_float(raw["fitness_calibrated"]),
-            fitness_source=_decode_float(raw["fitness_source"]),
+            fitness_calibrated=float(raw["fitness_calibrated"]),
+            fitness_source=float(raw["fitness_source"]),
             sweep_curves={
-                axis: tuple((float(v), _decode_float(f)) for v, f in curve)
+                axis: tuple((float(v), float(f)) for v, f in curve)
                 for axis, curve in raw["sweep_curves"].items()
             },
-            de_trace=tuple(_decode_float(v) for v in raw["de_trace"]),
+            de_trace=tuple(float(v) for v in raw["de_trace"]),
             termination=str(raw["termination"]),
             evaluations=int(raw["evaluations"]),
         )
@@ -292,24 +291,26 @@ def domain_spec_from_json(raw: Mapping[str, object]) -> SyntheticDomain:
     return SyntheticDomain(mean, std, **fields)
 
 
-def _load_manifest(directory: Path) -> dict:
+def _load_manifest(directory: Path) -> tuple[dict, SyntheticDomain]:
     manifest = _load_json(directory / MANIFEST_NAME)
     if not isinstance(manifest, dict) or "spec" not in manifest:
         raise FormatError(f"{directory}: manifest has no domain spec")
     if manifest.get("format_version") != DOMAIN_VERSION:
         raise FormatError(f"{directory}: unsupported cache version")
-    return manifest
+    try:
+        return manifest, domain_spec_from_json(manifest["spec"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{directory}: bad domain spec: {exc!r}") from exc
 
 
 def load_domain_spec(directory: str | Path) -> SyntheticDomain:
     """The domain description of a cached domain, from its manifest alone."""
-    return domain_spec_from_json(_load_manifest(Path(directory))["spec"])
+    return _load_manifest(Path(directory))[1]
 
 
 def load_domain(directory: str | Path) -> SyntheticExtractor:
     directory = Path(directory)
-    manifest = _load_manifest(directory)
-    spec = domain_spec_from_json(manifest["spec"])
+    manifest, spec = _load_manifest(directory)
     with open(directory / manifest.get("frames_file", FRAMES_NAME), "rb") as fh:
         reader = _FrameReader(fh, directory)
         magic, version, n_frames = reader.unpack(_DOMAIN_HEADER)

@@ -211,10 +211,18 @@ def _generate_frame(spec: SyntheticDomain, rng: np.random.Generator) -> Syntheti
 _TABLE_GROWTH = 1.5
 
 
+def _box_limit(half: np.ndarray) -> np.ndarray:
+    """Per-axis bound of the box test; the slack keeps face points in."""
+    return half * (1.0 + 1e-9) + 1e-12
+
+
 def _reach2(half: np.ndarray) -> float:
-    """Squared radius of the sphere around a box center that holds every
-    point the box can capture; the slack keeps face points in."""
-    return float(half @ half) * (1.0 + 1e-9)
+    """Squared radius around a box center that holds every point the box can
+    capture: a point that passes the box test has r2 <= lim @ lim, up to about
+    1e-15 relative rounding from _box_local, which the (1 + 1e-9) factor covers;
+    so every table built at or past reach2 holds every point the box captures."""
+    lim = _box_limit(half)
+    return float(lim @ lim) * (1.0 + 1e-9)
 
 
 def _box_local(rel: np.ndarray, yaw: float, out: np.ndarray) -> None:
@@ -226,16 +234,14 @@ def _box_local(rel: np.ndarray, yaw: float, out: np.ndarray) -> None:
     out[2] = rel[:, 2]
 
 
-def _captured(r2: np.ndarray, local: np.ndarray, reach2: float, half: np.ndarray) -> np.ndarray:
+def _captured(local: np.ndarray, half: np.ndarray) -> np.ndarray:
     """Which candidates a box of half-extents half captures, given their
-    squared distances r2 to its center and their box-local coordinates as
-    (3, n) rows: those inside the box and within sqrt(reach2), the cut a
-    table built at a larger reach leaves to the query.
+    box-local coordinates as (3, n) rows: those inside the box.
 
     Built in one boolean buffer. Kept in float64: a float32 test moves
     decisions at the box faces."""
-    lim = half * (1.0 + 1e-9) + 1e-12
-    captured = r2 <= reach2
+    lim = _box_limit(half)
+    captured = np.ones(local.shape[1], dtype=bool)
     for axis in range(3):
         # -lim <= x <= lim decides exactly as |x| <= lim, without a float temporary
         captured &= local[axis] <= lim[axis]
@@ -315,17 +321,16 @@ class _CandidateTables:
 
     Live objects (those with points) are numbered frame-major; object g owns
     entries start[g]:start[g + 1] of the concatenated arrays, in its frame's
-    point order. r2 is each entry's squared distance to the estimated center,
-    so a query of smaller reach masks it and sees the same candidates
-    whatever reach the tables were built at. local holds the points in the
-    object's box frame, one contiguous row per axis, so the per-axis passes
-    of the kernel run over contiguous memory; own flags the object's own
-    points.
+    point order. The box test alone decides capture, and a table at or past
+    a query's _reach2 holds every point its box can capture, so outputs do
+    not depend on the reach the tables were built at. local holds the points
+    in the object's box frame, one contiguous row per axis, so the per-axis
+    passes of the kernel run over contiguous memory; own flags the object's
+    own points.
     """
 
     reach2: float
     start: np.ndarray  # (n_live + 1,) int64
-    r2: np.ndarray  # (N,) float64
     local: np.ndarray  # (3, N) float64, one row per box axis
     own: np.ndarray  # (N,) bool
 
@@ -400,13 +405,10 @@ class SyntheticExtractor(FeatureExtractor):
             return tables
         if tables is not None:
             reach2 = max(reach2, _TABLE_GROWTH * tables.reach2)
-        r2s, nears = [], []
+        nears = []
         for f, _, obj in self._live:
             rel = self._frames[f].points - obj.est_center
-            r2 = np.einsum("ij,ij->i", rel, rel)
-            near = np.flatnonzero(r2 <= reach2)
-            r2s.append(r2[near])
-            nears.append(near)
+            nears.append(np.flatnonzero(np.einsum("ij,ij->i", rel, rel) <= reach2))
         start = np.concatenate([[0], np.cumsum([len(n) for n in nears])]).astype(np.int64)
         # filled in place rather than concatenated, so building never holds
         # two copies of the new table
@@ -416,10 +418,9 @@ class SyntheticExtractor(FeatureExtractor):
             frame = self._frames[f]
             _box_local(frame.points[near] - obj.est_center, obj.est_yaw, local[:, a:b])
             own[a:b] = frame.owner[near] == idx
-        r2 = np.concatenate(r2s) if r2s else np.empty(0)
-        for arr in (start, r2, local, own):
+        for arr in (start, local, own):
             arr.setflags(write=False)
-        tables = _CandidateTables(reach2, start, r2, local, own)
+        tables = _CandidateTables(reach2, start, local, own)
         self._tables = tables
         return tables
 
@@ -427,14 +428,13 @@ class SyntheticExtractor(FeatureExtractor):
         f = self._frame_index(frame)
         query = sizes.as_array()
         half = query / 2.0
-        reach2 = _reach2(half)
-        tables = self._tables_reaching(reach2)
+        tables = self._tables_reaching(_reach2(half))
         ids = range(self._live_start[f], self._live_start[f + 1])
         proposals = []
         for g in ids:
             rows = slice(tables.start[g], tables.start[g + 1])
             local = tables.local[:, rows]
-            inside = _captured(tables.r2[rows], local, reach2, half)
+            inside = _captured(local, half)
             n_in = int(np.count_nonzero(inside))
             own_in = int(np.count_nonzero(inside & tables.own[rows]))
             foreign_in = n_in - own_in
@@ -466,8 +466,7 @@ class SyntheticExtractor(FeatureExtractor):
         frames = [self._frame_index(f) for f in frames]
         query = sizes.as_array()
         half = query / 2.0
-        reach2 = _reach2(half)
-        tables = self._tables_reaching(reach2)
+        tables = self._tables_reaching(_reach2(half))
         dim = self.feature_dim
 
         # selected live objects, in output order
@@ -476,7 +475,7 @@ class SyntheticExtractor(FeatureExtractor):
             [np.arange(a, b, dtype=np.int64) for a, b in per_frame] + [np.empty(0, np.int64)]
         )
         ends = tables.start[1:]
-        captured = _captured(tables.r2, tables.local, reach2, half)
+        captured = _captured(tables.local, half)
         n_in = _segment_sums(captured, ends)
         own_in = _segment_sums(captured & tables.own, ends)
         scores = (own_in / (n_in + (self._live_npts - own_in)))[sel]

@@ -1,13 +1,15 @@
 import hashlib
 import json
+import math
 import shutil
+import struct
 import subprocess
 import sys
 
 import pytest
 
 from anchorcal.cli import main
-from anchorcal.storage import load_curve, load_feature_db, load_gmm, load_result
+from anchorcal.storage import _SFDB_HEADER, load_curve, load_feature_db, load_gmm, load_result
 
 
 def small_config(out_dir, **tweaks):
@@ -178,6 +180,42 @@ def test_report_prints_summary(tmp_path, capsys):
 def test_report_without_result_is_io_error(tmp_path, capsys):
     cfg = write_config(tmp_path, small_config(tmp_path / "out"))
     assert run("report", "--config", cfg) == 3
+
+
+@pytest.mark.parametrize("corruption", ["dim_zero", "non_finite_row"])
+def test_corrupt_reference_db_is_io_error(tmp_path, capsys, corruption):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, small_config(out))
+    assert run("refdb", "--config", cfg) == 0
+    path = out / "reference.sfdb"
+    data = bytearray(path.read_bytes())
+    magic, version, _, count = _SFDB_HEADER.unpack_from(data)
+    if corruption == "dim_zero":
+        data = _SFDB_HEADER.pack(magic, version, 0, count)
+    else:
+        data[_SFDB_HEADER.size : _SFDB_HEADER.size + 4] = struct.pack("<f", math.nan)
+    path.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert run("fit", "--config", cfg) == 3
+    assert "reference.sfdb" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda spec: spec.pop("size_mean"), lambda spec: spec.update(grid_resolution=0)],
+    ids=["no_size_mean", "grid_resolution_zero"],
+)
+def test_corrupt_domain_manifest_is_io_error(tmp_path, capsys, edit):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, small_config(out))
+    assert run("gen", "--config", cfg) == 0
+    path = out / "domains" / "target" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest["spec"])
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run("sweep", "--config", cfg) == 3
+    assert "bad domain spec" in capsys.readouterr().err
 
 
 def test_full_gate_yields_zero_feature_exit(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -24,6 +25,7 @@ from anchorcal.synthdet import (
     _reach2,
     generate_domain,
 )
+from test_synthdet import oracle_counts, oracle_feature
 
 CAR = AnchorSizes(1.9, 4.6, 1.7)
 
@@ -198,24 +200,33 @@ def test_gated_features_do_not_depend_on_the_reach_tables_were_built_at(history)
             assert via_propose.tobytes() == want.tobytes()
 
 
-def test_box_corner_beyond_reach_is_not_captured_from_larger_tables():
-    # a clutter point inside the box test's slack at a corner but outside the
-    # reach sphere: a table built at the query's reach leaves it out, so one
-    # built larger must too
+def test_box_corners_are_captured_whatever_reach_the_tables_were_built_at():
+    # a clutter point at each corner of a yaw-0 box, inside the box test's
+    # slack but beyond the sphere of radius |half|: the box test alone
+    # decides, so tables built at the query's reach and tables built at 3x
+    # both capture it, as the independent oracle does
     spec = SyntheticDomain(CAR, (0.0, 0.0, 0.0))
-    half = CAR.as_array() / 2.0
-    pts = np.random.default_rng(0).uniform(-0.45, 0.45, (40, 3)) * CAR.as_array()
+    size = CAR.as_array()
+    half = size / 2.0
+    pts = np.random.default_rng(0).uniform(-0.45, 0.45, (40, 3)) * size
     zero = np.zeros(3)
-    obj = SyntheticObject(zero, CAR.as_array(), 0.0, zero, CAR.as_array(), 0.0, pts)
-    corner = half * (1.0 + 0.9e-9)
-    assert corner @ corner > _reach2(half)
-    frames = [SyntheticFrame((obj,), corner[None])]
-    fresh = SyntheticExtractor(frames, spec)
-    grown = SyntheticExtractor(frames, spec)
-    grown.gated_features([0], AnchorSizes.from_array(CAR.as_array() * 3.0), 0.0)
-    assert [p.score for p in grown.propose(0, CAR)] == [p.score for p in fresh.propose(0, CAR)] == [1.0]
-    want = FeatureExtractor.gated_features(fresh, [0], CAR, 0.0)
-    assert grown.gated_features([0], CAR, 0.0).tobytes() == want.tobytes()
+    obj = SyntheticObject(zero, size, 0.0, zero, size, 0.0, pts)
+    for signs in itertools.product((-1.0, 1.0), repeat=3):
+        corner = np.array(signs) * half * (1.0 + 0.9e-9)
+        assert corner @ corner > half @ half * (1.0 + 1e-9)
+        frame = SyntheticFrame((obj,), corner[None])
+        own_in, foreign_in, own_out = oracle_counts(frame, 0, size)
+        assert (own_in, foreign_in, own_out) == (40, 1, 0)
+        fresh = SyntheticExtractor([frame], spec)
+        larger = SyntheticExtractor([frame], spec)
+        larger.gated_features([0], AnchorSizes.from_array(size * 3.0), 0.0)
+        score = own_in / (own_in + foreign_in + own_out)
+        for ex in (fresh, larger):
+            assert [p.score for p in ex.propose(0, CAR)] == [score]
+            want = FeatureExtractor.gated_features(ex, [0], CAR, 0.0)
+            assert ex.gated_features([0], CAR, 0.0).tobytes() == want.tobytes()
+            assert np.array_equal(want, [oracle_feature(frame, 0, size, spec.grid_resolution)])
+        assert fresh._tables.reach2 == _reach2(half) < larger._tables.reach2
 
 
 def test_concurrent_table_growth_matches_sequential_results():
