@@ -47,10 +47,10 @@ from .storage import (
     domain_spec_from_json,
     load_curve,
     load_domain,
-    load_domain_spec,
     load_feature_db,
     load_gmm,
     load_result,
+    open_domain,
     save_curve,
     save_domain,
     save_feature_db,
@@ -58,7 +58,7 @@ from .storage import (
     save_result,
     save_trace,
 )
-from .synthdet import SyntheticDomain, SyntheticExtractor, generate_domain
+from .synthdet import StreamedExtractor, SyntheticDomain, SyntheticExtractor, generate_domain
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -194,13 +194,21 @@ def _materialize(cfg: RunConfig, role: str) -> SyntheticExtractor:
     return generate_domain(domain_spec_from_json(section.spec_fields), section.n_frames)
 
 
-def _domain_spec(cfg: RunConfig, role: str) -> SyntheticDomain:
-    """One role's domain description, read from where _materialize would load
-    the domain, without reading or generating any frame."""
+def _drawn(spec: SyntheticDomain, n_frames: int) -> StreamedExtractor:
+    """A domain drawn one frame at a time, each frame as a one-frame domain."""
+    return StreamedExtractor(
+        spec, n_frames, lambda: (generate_domain(spec, range(i, i + 1)) for i in range(n_frames))
+    )
+
+
+def _streamed(cfg: RunConfig, role: str) -> StreamedExtractor:
+    """One role's domain served a frame at a time, from where _materialize
+    would load it; nothing is read or drawn before the first query."""
     stored = _stored_domain(cfg, role)
     if stored is not None:
-        return load_domain_spec(stored)
-    return domain_spec_from_json(getattr(cfg, role).spec_fields)
+        return open_domain(stored)
+    section = getattr(cfg, role)
+    return _drawn(domain_spec_from_json(section.spec_fields), section.n_frames)
 
 
 def cmd_gen(cfg: RunConfig) -> int:
@@ -209,9 +217,9 @@ def cmd_gen(cfg: RunConfig) -> int:
         if section.spec_fields is None:
             raise ValueError(f"{role}: cache-only section, nothing to generate")
         spec = domain_spec_from_json(section.spec_fields)
-        extractor = generate_domain(spec, section.n_frames)
         out = _domain_cache_dir(cfg, role)
-        save_domain(extractor, out)
+        # each frame is written as it is drawn
+        save_domain(_drawn(spec, section.n_frames), out)
         print(f"wrote {out / MANIFEST_NAME} ({section.n_frames} frames)")
     return EXIT_OK
 
@@ -232,7 +240,7 @@ def _get_reference(cfg: RunConfig) -> FeatureDatabase:
     path = _reference_path(cfg)
     if path.exists():
         return load_feature_db(path)
-    source = _materialize(cfg, "source")
+    source = _streamed(cfg, "source")
     return build_reference_db(source, list(source.frames()), cfg.gate)
 
 
@@ -268,7 +276,7 @@ def _check_dims(model: Gmm, extractor: SyntheticExtractor) -> None:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     model = _get_model(cfg)
-    source_sizes = _domain_spec(cfg, "source").size_mean
+    source_sizes = _streamed(cfg, "source").source_sizes
     target = _materialize(cfg, "target")
     _check_dims(model, target)
     eval_fn = make_target_fitness(target, list(target.frames()), cfg.gate, model)
@@ -293,11 +301,9 @@ def _stored_curves(cfg: RunConfig) -> dict[str, tuple[tuple[float, float], ...]]
 def cmd_calibrate(cfg: RunConfig) -> int:
     model_path = _model_path(cfg)
     stored_model = load_gmm(model_path) if model_path.exists() else None
-    if stored_model is not None:
-        # a stored model skips the reference build: no source frame is read
-        source = SyntheticExtractor([], _domain_spec(cfg, "source"))
-    else:
-        source = _materialize(cfg, "source")
+    # streamed, so a stored model, which skips the reference build, reads no
+    # source frame, and a reference build holds one source frame at a time
+    source = _streamed(cfg, "source")
     target = _materialize(cfg, "target")
     result = calibrate(
         source, target, list(source.frames()), list(target.frames()),

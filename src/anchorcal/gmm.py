@@ -105,9 +105,18 @@ class Gmm:
 
 
 def _component_log_pdf(model: Gmm, x: np.ndarray) -> np.ndarray:
-    """Per-component weighted log densities for rows of x, shape (n, k)."""
-    diff = x[:, None, :] - model.means[None, :, :]
-    maha = np.sum(diff * diff / model.variances[None, :, :], axis=2)
+    """Per-component weighted log densities for rows of x, shape (n, k).
+
+    One component at a time, with (n, d) temporaries: the same elementwise
+    operations and last-axis sums as broadcasting over an (n, k, d) tensor,
+    so the same bits."""
+    maha = np.empty((x.shape[0], model.k))
+    d = np.empty_like(x)
+    for k in range(model.k):
+        np.subtract(x, model.means[k], out=d)
+        d *= d
+        d /= model.variances[k]
+        d.sum(axis=1, out=maha[:, k])
     log_det = np.sum(np.log(model.variances), axis=1)
     log_norm = -0.5 * (model.dim * _LOG_2PI + log_det)
     return np.log(model.weights)[None, :] + log_norm[None, :] - 0.5 * maha

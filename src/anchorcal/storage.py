@@ -11,6 +11,7 @@ identical inputs, which is what makes re-run hashing a meaningful check.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
@@ -18,14 +19,20 @@ import math
 import os
 import struct
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .core import AnchorSizes, FeatureDatabase
 from .gmm import Gmm
 from .optimizer import CalibrationResult, Curve
-from .synthdet import SyntheticDomain, SyntheticExtractor, SyntheticFrame, SyntheticObject
+from .synthdet import (
+    StreamedExtractor,
+    SyntheticDomain,
+    SyntheticExtractor,
+    SyntheticFrame,
+    SyntheticObject,
+)
 
 SFDB_MAGIC = b"SFDB"
 SFDB_VERSION = 1
@@ -71,9 +78,26 @@ def load_feature_db(path: str | Path) -> FeatureDatabase:
         raise FormatError(f"{path}: {exc}") from exc
 
 
+def _json_text(payload: object) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def _dump_json(payload: object, path: Path) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    path.write_text(text + "\n")
+    path.write_text(_json_text(payload))
+
+
+@contextlib.contextmanager
+def _replacing(path: Path) -> Iterator:
+    """A binary handle on a temporary file beside path, moved onto path by
+    os.replace once the block completes and removed if it raises."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _load_json(path: str | Path) -> object:
@@ -253,25 +277,37 @@ class _FrameReader:
         return SyntheticFrame(tuple(objects), self.points(n_clutter))
 
 
-def save_domain(extractor: SyntheticExtractor, directory: str | Path) -> None:
-    """Cache a generated domain: manifest.json plus one frames binary."""
+def save_domain(extractor: SyntheticExtractor | StreamedExtractor, directory: str | Path) -> None:
+    """Cache a domain: one frames binary, then manifest.json.
+
+    Frames are packed and written as the extractor yields them, so a
+    streamed domain is never held whole. The old manifest goes first and the
+    new one comes last, each file through a temporary and os.replace, so a
+    write that fails leaves no manifest, and a directory with one holds a
+    whole domain."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    (directory / MANIFEST_NAME).unlink(missing_ok=True)
     spec = extractor.domain
-    frames = [extractor.frame_data(f) for f in extractor.frames()]
+    n_frames = len(extractor.frames())
+    with _replacing(directory / FRAMES_NAME) as fh:
+        fh.write(_DOMAIN_HEADER.pack(DOMAIN_MAGIC, DOMAIN_VERSION, n_frames))
+        written = 0
+        for frame in extractor.iter_frames():
+            fh.write(_pack_frame(frame))
+            written += 1
+        if written != n_frames:
+            raise ValueError(f"the domain yielded {written} frames, not {n_frames}")
     spec_json = {f.name: getattr(spec, f.name) for f in dataclasses.fields(SyntheticDomain)}
     spec_json["size_mean"] = _sizes_to_json(spec.size_mean)
     manifest = {
         "format_version": DOMAIN_VERSION,
         "frames_file": FRAMES_NAME,
-        "n_frames": len(frames),
+        "n_frames": n_frames,
         "spec": spec_json,
     }
-    _dump_json(manifest, directory / MANIFEST_NAME)
-    with open(directory / FRAMES_NAME, "wb") as fh:
-        fh.write(_DOMAIN_HEADER.pack(DOMAIN_MAGIC, DOMAIN_VERSION, len(frames)))
-        for frame in frames:
-            fh.write(_pack_frame(frame))
+    with _replacing(directory / MANIFEST_NAME) as fh:
+        fh.write(_json_text(manifest).encode())
 
 
 def domain_spec_from_json(raw: Mapping[str, object]) -> SyntheticDomain:
@@ -297,28 +333,48 @@ def _load_manifest(directory: Path) -> tuple[dict, SyntheticDomain]:
         raise FormatError(f"{directory}: manifest has no domain spec")
     if manifest.get("format_version") != DOMAIN_VERSION:
         raise FormatError(f"{directory}: unsupported cache version")
+    n_frames = manifest.get("n_frames")
+    if type(n_frames) is not int or n_frames < 0:
+        raise FormatError(f"{directory}: bad frame count {n_frames!r}")
     try:
         return manifest, domain_spec_from_json(manifest["spec"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{directory}: bad domain spec: {exc!r}") from exc
 
 
-def load_domain_spec(directory: str | Path) -> SyntheticDomain:
-    """The domain description of a cached domain, from its manifest alone."""
-    return _load_manifest(Path(directory))[1]
+def read_frames(directory: str | Path) -> Iterator[SyntheticFrame]:
+    """A cached domain's frames, read one at a time as they are iterated.
 
-
-def load_domain(directory: str | Path) -> SyntheticExtractor:
+    A bad header, a cut or corrupt frame, or bytes left after the last
+    frame raise FormatError when the read reaches them."""
     directory = Path(directory)
-    manifest, spec = _load_manifest(directory)
+    manifest, _ = _load_manifest(directory)
     with open(directory / manifest.get("frames_file", FRAMES_NAME), "rb") as fh:
         reader = _FrameReader(fh, directory)
         magic, version, n_frames = reader.unpack(_DOMAIN_HEADER)
         if magic != DOMAIN_MAGIC or version != DOMAIN_VERSION:
             raise FormatError(f"{directory}: bad frames file header")
-        if n_frames != manifest.get("n_frames"):
+        if n_frames != manifest["n_frames"]:
             raise FormatError(f"{directory}: manifest and frames file disagree on count")
-        frames = [reader.frame() for _ in range(n_frames)]
-    if reader.left:
-        raise FormatError(f"{directory}: {reader.left} trailing bytes")
-    return SyntheticExtractor(frames, spec)
+        for _ in range(n_frames):
+            yield reader.frame()
+        if reader.left:
+            raise FormatError(f"{directory}: {reader.left} trailing bytes")
+
+
+def open_domain(directory: str | Path) -> StreamedExtractor:
+    """A cached domain served one frame at a time; opening reads the manifest
+    alone, and every query reads the frames file once more."""
+    directory = Path(directory)
+    manifest, spec = _load_manifest(directory)
+    return StreamedExtractor(
+        spec,
+        manifest["n_frames"],
+        lambda: (SyntheticExtractor([frame], spec) for frame in read_frames(directory)),
+    )
+
+
+def load_domain(directory: str | Path) -> SyntheticExtractor:
+    """A cached domain, every frame held."""
+    _, spec = _load_manifest(Path(directory))
+    return SyntheticExtractor(list(read_frames(directory)), spec)

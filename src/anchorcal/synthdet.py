@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -315,6 +315,12 @@ def _nms_keep(scores, centers: np.ndarray, halves: np.ndarray, iou: float) -> li
     return kept
 
 
+def _frame_index(frame: FrameId, n_frames: int) -> int:
+    if not (0 <= int(frame) < n_frames):
+        raise UnknownFrameError(f"frame {frame!r} is outside 0..{n_frames - 1}")
+    return int(frame)
+
+
 @dataclass(frozen=True)
 class _CandidateTables:
     """Per-object candidate points within sqrt(reach2) of the estimated center.
@@ -340,9 +346,10 @@ class SyntheticExtractor(FeatureExtractor):
 
     Candidate points are served from _CandidateTables built on first use at
     the queried reach and rebuilt, at least _TABLE_GROWTH times larger, only
-    when a query reaches past them. A rebuilt table is published by one
-    assignment and never mutated, so concurrent callers each see a complete
-    table.
+    when a query reaches past them. The superseded tables are dropped before
+    the rebuild, so one set of tables is held at a time. Tables are never
+    mutated once built; the extractor is not meant to be queried from more
+    than one thread at once.
     """
 
     def __init__(self, frames: Sequence[SyntheticFrame], domain: SyntheticDomain) -> None:
@@ -388,14 +395,13 @@ class SyntheticExtractor(FeatureExtractor):
     def frames(self) -> Sequence[FrameId]:
         return range(len(self._frames))
 
-    def _frame_index(self, frame: FrameId) -> int:
-        if not (0 <= int(frame) < len(self._frames)):
-            raise UnknownFrameError(f"frame {frame!r} is outside 0..{len(self._frames) - 1}")
-        return int(frame)
-
     def frame_data(self, frame: FrameId) -> SyntheticFrame:
         """Ground-truth access for oracles and reports."""
-        return self._frames[self._frame_index(frame)]
+        return self._frames[_frame_index(frame, len(self._frames))]
+
+    def iter_frames(self) -> Iterator[SyntheticFrame]:
+        """The frames in order."""
+        return iter(self._frames)
 
     def _tables_reaching(self, reach2: float) -> _CandidateTables:
         """Candidate tables covering reach2, built anew, with growth headroom,
@@ -405,6 +411,8 @@ class SyntheticExtractor(FeatureExtractor):
             return tables
         if tables is not None:
             reach2 = max(reach2, _TABLE_GROWTH * tables.reach2)
+        # drop the superseded tables first, so they are not held beside the new
+        self._tables = tables = None
         nears = []
         for f, _, obj in self._live:
             rel = self._frames[f].points - obj.est_center
@@ -425,7 +433,7 @@ class SyntheticExtractor(FeatureExtractor):
         return tables
 
     def propose(self, frame: FrameId, sizes: AnchorSizes) -> list[ScoredProposal]:
-        f = self._frame_index(frame)
+        f = _frame_index(frame, len(self._frames))
         query = sizes.as_array()
         half = query / 2.0
         tables = self._tables_reaching(_reach2(half))
@@ -463,7 +471,7 @@ class SyntheticExtractor(FeatureExtractor):
         which objects reach the output, and in what order, so histograms
         are binned by live object and then picked by output position.
         """
-        frames = [self._frame_index(f) for f in frames]
+        frames = [_frame_index(f, len(self._frames)) for f in frames]
         query = sizes.as_array()
         half = query / 2.0
         tables = self._tables_reaching(_reach2(half))
@@ -515,13 +523,90 @@ class SyntheticExtractor(FeatureExtractor):
         return (counts[out] / n_in[out][:, None]).astype(np.float32)
 
 
-def generate_domain(spec: SyntheticDomain, n_frames: int) -> SyntheticExtractor:
-    """Materialize n_frames frames of the domain; fully seeded by spec.seed."""
-    if n_frames < 1:
+class StreamedExtractor(FeatureExtractor):
+    """FeatureExtractor over a synthetic domain that is never held whole.
+
+    parts() starts a fresh pass over the domain's n_frames frames, in order,
+    as a sequence of SyntheticExtractors (the CLI makes each one frame). A
+    query makes one such pass and answers each frame with its part's own
+    kernel, so it holds about one part and its candidate tables at a time;
+    nothing is read or drawn before the first query.
+    """
+
+    def __init__(
+        self,
+        domain: SyntheticDomain,
+        n_frames: int,
+        parts: Callable[[], Iterable[SyntheticExtractor]],
+    ) -> None:
+        self.domain = domain
+        self._n_frames = n_frames
+        self._parts = parts
+
+    @property
+    def feature_dim(self) -> int:
+        return self.domain.feature_dim
+
+    @property
+    def source_sizes(self) -> AnchorSizes:
+        return self.domain.size_mean
+
+    def frames(self) -> Sequence[FrameId]:
+        return range(self._n_frames)
+
+    def _pass(self) -> Iterator[tuple[int, SyntheticExtractor, int]]:
+        """(frame id, its part, its id within the part) for every frame, in order."""
+        first = 0
+        for part in self._parts():
+            for local in part.frames():
+                yield first + local, part, local
+            first += len(part.frames())
+        if first != self._n_frames:
+            raise ValueError(f"the parts hold {first} frames, not {self._n_frames}")
+
+    def iter_frames(self) -> Iterator[SyntheticFrame]:
+        """The frames in order, one pass."""
+        return (part.frame_data(local) for _, part, local in self._pass())
+
+    def propose(self, frame: FrameId, sizes: AnchorSizes) -> list[ScoredProposal]:
+        """Reads the domain up to the frame."""
+        f = _frame_index(frame, self._n_frames)
+        return next(part.propose(local, sizes) for g, part, local in self._pass() if g == f)
+
+    def gated_features(
+        self, frames: Sequence[FrameId], sizes: AnchorSizes, tau: float
+    ) -> np.ndarray:
+        """Each requested frame gated by its part's kernel, in one pass; equal
+        bit for bit to the kernel over the whole domain, which treats every
+        object on its own."""
+        wanted = [_frame_index(f, self._n_frames) for f in frames]
+        need = set(wanted)
+        rows = {
+            g: part.gated_features([local], sizes, tau)
+            for g, part, local in self._pass()
+            if g in need
+        }
+        empty = np.empty((0, self.feature_dim), dtype=np.float32)
+        return np.concatenate([rows[g] for g in wanted] + [empty])
+
+
+def generate_frames(spec: SyntheticDomain, frames: range) -> Iterator[SyntheticFrame]:
+    """Draw the domain's frames with the given ids, one at a time.
+
+    Frame i comes from child i of spec.seed's SeedSequence, as spawn() makes
+    it, so it is the same whichever other frames are drawn."""
+    for i in frames:
+        seed = np.random.SeedSequence(spec.seed, spawn_key=(i,))
+        yield _generate_frame(spec, np.random.default_rng(seed))
+
+
+def generate_domain(spec: SyntheticDomain, n_frames: int | range) -> SyntheticExtractor:
+    """Materialize the domain's first n_frames frames, or the frames a range
+    names (numbered from 0 in the extractor); fully seeded by spec.seed."""
+    frames = n_frames if isinstance(n_frames, range) else range(n_frames)
+    if len(frames) < 1:
         raise ValueError("n_frames must be >= 1")
-    children = np.random.SeedSequence(spec.seed).spawn(n_frames)
-    frames = [_generate_frame(spec, np.random.default_rng(child)) for child in children]
-    return SyntheticExtractor(frames, spec)
+    return SyntheticExtractor(list(generate_frames(spec, frames)), spec)
 
 
 def mean_capture_score(

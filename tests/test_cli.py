@@ -5,10 +5,12 @@ import shutil
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from anchorcal.cli import main
+from anchorcal.synthdet import SyntheticExtractor
 from anchorcal.storage import _SFDB_HEADER, load_curve, load_feature_db, load_gmm, load_result
 
 
@@ -164,6 +166,71 @@ def test_sweep_and_calibrate_with_a_stored_model_read_no_source_frame(tmp_path, 
     capsys.readouterr()
     assert run("calibrate", "--config", tmp_path / "cut.json") == 3
     assert "truncated frames file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["cut_mid_frame", "trailing_byte"])
+def test_refdb_on_a_damaged_source_exits_three_and_writes_nothing(
+    tmp_path, capsys, monkeypatch, damage
+):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, small_config(out))
+    assert run("gen", "--config", cfg) == 0
+    frames = out / "domains" / "source" / "frames.bin"
+    data = frames.read_bytes()
+    # 9 bytes short of the end cuts the last frame's clutter block
+    frames.write_bytes(data[:-9] if damage == "cut_mid_frame" else data + b"\0")
+    calls = []
+    kernel = SyntheticExtractor.gated_features
+    monkeypatch.setattr(
+        SyntheticExtractor, "gated_features",
+        lambda self, *args: calls.append(1) or kernel(self, *args),
+    )
+    capsys.readouterr()
+    assert run("refdb", "--config", cfg) == 3
+    err = capsys.readouterr().err
+    assert ("truncated frames file" if damage == "cut_mid_frame" else "1 trailing bytes") in err
+    assert not (out / "reference.sfdb").exists()
+    # the reader fails mid-build, after the frames before the damage were gated
+    assert len(calls) == (5 if damage == "cut_mid_frame" else 6)
+
+
+def test_calibrate_without_a_model_writes_the_same_bytes_from_a_staged_and_a_generated_source(
+    tmp_path,
+):
+    staged, generated = tmp_path / "staged", tmp_path / "generated"
+    cfg_staged = write_config(tmp_path, small_config(staged), "staged.json")
+    cfg_generated = write_config(tmp_path, small_config(generated), "generated.json")
+    assert run("gen", "--config", cfg_staged) == 0
+    assert run("calibrate", "--config", cfg_staged) == 0
+    assert run("calibrate", "--config", cfg_generated) == 0
+    trees = {name: tree_hashes(out) for name, out in (("s", staged), ("g", generated))}
+    trees["s"] = {k: v for k, v in trees["s"].items() if not k.startswith("domains/")}
+    assert trees["s"] == trees["g"]
+    assert {"result.json", "trace.csv", "sweep_w.csv"} <= set(trees["g"])
+
+
+def _traced_peak(*argv):
+    tracemalloc.start()
+    try:
+        assert run(*argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gen_and_refdb_hold_no_whole_source_domain(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path,
+        small_config(out, source={"clutter_rate": 6000.0, "n_frames": 60},
+                     target={"n_frames": 2}),
+    )
+    gen_peak = _traced_peak("gen", "--config", cfg)
+    source_bytes = (out / "domains" / "source" / "frames.bin").stat().st_size
+    assert source_bytes > 8_000_000
+    refdb_peak = _traced_peak("refdb", "--config", cfg)
+    assert gen_peak < source_bytes / 4, (gen_peak, source_bytes)
+    assert refdb_peak < source_bytes / 4, (refdb_peak, source_bytes)
 
 
 def test_report_prints_summary(tmp_path, capsys):

@@ -6,7 +6,15 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
 from anchorcal.core import EmptyDatabaseError, FeatureDatabase, InsufficientSamplesError
-from anchorcal.gmm import EmConfig, Gmm, _logsumexp_rows, fit_em, fitness, log_pdf_batch
+from anchorcal.gmm import (
+    EmConfig,
+    Gmm,
+    _component_log_pdf,
+    _logsumexp_rows,
+    fit_em,
+    fitness,
+    log_pdf_batch,
+)
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -123,6 +131,37 @@ def test_log_pdf_finite_and_bounded_by_peak(seed):
     vals = log_pdf_batch(model, x)
     assert np.all(np.isfinite(vals))
     assert np.all(vals <= peak_log_density(model) + 1e-12)
+
+
+def _broadcast_component_log_pdf(model, x):
+    """The (n, k, d) broadcast form of gmm._component_log_pdf, kept as its
+    oracle: the per-component loop must give the same bits."""
+    diff = x[:, None, :] - model.means[None, :, :]
+    maha = np.sum(diff * diff / model.variances[None, :, :], axis=2)
+    log_det = np.sum(np.log(model.variances), axis=1)
+    log_norm = -0.5 * (model.dim * LOG_2PI + log_det)
+    return np.log(model.weights)[None, :] + log_norm[None, :] - 0.5 * maha
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 17),
+    st.sampled_from([1, 2, 3, 8, 64, 216, 300]),
+    st.integers(0, 40),
+)
+@settings(max_examples=60, deadline=None)
+def test_component_log_pdf_matches_the_broadcast_form_bit_for_bit(seed, k, dim, n):
+    rng = np.random.default_rng(seed)
+    model = _random_model(rng, k, dim)
+    # about a third of the variances at the EM floor, as fitted models have
+    floored = np.where(rng.random((k, dim)) < 0.3, EmConfig().variance_floor, model.variances)
+    model = Gmm(model.weights, model.means, floored)
+    x = rng.normal(0.0, 3.0, (n, dim))
+    x[: n // 4] = model.means[rng.integers(0, k, n // 4)]  # rows on a component mean
+    got = _component_log_pdf(model, x)
+    want = _broadcast_component_log_pdf(model, x)
+    assert got.shape == (n, k)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_gmm_weight_sum_validation():

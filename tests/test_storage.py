@@ -1,3 +1,4 @@
+import json
 import math
 import struct
 
@@ -16,6 +17,8 @@ from anchorcal.storage import (
     load_gmm,
     load_result,
     load_trace,
+    open_domain,
+    read_frames,
     save_curve,
     save_domain,
     save_feature_db,
@@ -23,7 +26,7 @@ from anchorcal.storage import (
     save_result,
     save_trace,
 )
-from anchorcal.synthdet import SyntheticDomain, generate_domain
+from anchorcal.synthdet import StreamedExtractor, SyntheticDomain, generate_domain
 
 CAR = AnchorSizes(1.9, 4.6, 1.7)
 
@@ -253,6 +256,68 @@ def test_domain_cache_rejects_truncation(tmp_path):
         load_domain(tmp_path / "dom")
     frames.write_bytes(data)
     assert len(list(load_domain(tmp_path / "dom").frames())) == 3
+
+
+def test_a_domain_write_that_fails_mid_stream_leaves_no_manifest(tmp_path):
+    spec = SyntheticDomain(CAR, (0.04, 0.05, 0.03), clutter_rate=200.0, seed=14)
+    good = generate_domain(spec, 5)
+
+    def failing_parts(k):
+        for i in range(k):
+            yield generate_domain(spec, range(i, i + 1))
+        raise RuntimeError(f"source failed after {k} frames")
+
+    directory = tmp_path / "dom"
+    for k in (0, 2, 5):
+        # a whole domain there before: the failed write must not leave its manifest
+        save_domain(good, directory)
+        with pytest.raises(RuntimeError, match=f"after {k} frames"):
+            save_domain(StreamedExtractor(spec, 5, lambda k=k: failing_parts(k)), directory)
+        assert sorted(p.name for p in directory.iterdir()) == ["frames.bin"]
+        with pytest.raises(FileNotFoundError):
+            load_domain(directory)
+    short = StreamedExtractor(spec, 6, lambda: [good])
+    with pytest.raises(ValueError, match="5 frames, not 6"):
+        save_domain(short, directory)
+    assert not (directory / "manifest.json").exists()
+    # a rerun succeeds and writes what an uninterrupted write does
+    save_domain(good, directory)
+    save_domain(good, tmp_path / "clean")
+    for name in ("manifest.json", "frames.bin"):
+        assert (directory / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
+    assert sorted(p.name for p in directory.iterdir()) == ["frames.bin", "manifest.json"]
+
+
+def test_a_streamed_write_and_read_match_the_whole_domain(tmp_path):
+    spec = SyntheticDomain(CAR, (0.04, 0.05, 0.03), clutter_rate=300.0, seed=15)
+    whole = generate_domain(spec, 4)
+    streamed = StreamedExtractor(
+        spec, 4, lambda: (generate_domain(spec, range(i, i + 1)) for i in range(4))
+    )
+    save_domain(whole, tmp_path / "a")
+    save_domain(streamed, tmp_path / "b")
+    for name in ("manifest.json", "frames.bin"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    opened = open_domain(tmp_path / "b")
+    assert opened.domain == spec and list(opened.frames()) == [0, 1, 2, 3]
+    rows = opened.gated_features(opened.frames(), CAR, 0.6)
+    assert np.array_equal(rows, whole.gated_features(whole.frames(), CAR, 0.6))
+    for a, b in zip(read_frames(tmp_path / "b"), whole.iter_frames(), strict=True):
+        np.testing.assert_array_equal(a.points, b.points)
+
+
+def test_a_bad_manifest_frame_count_is_a_format_error(tmp_path):
+    spec = SyntheticDomain(CAR, (0.04, 0.05, 0.03), clutter_rate=100.0, seed=16)
+    save_domain(generate_domain(spec, 2), tmp_path / "dom")
+    path = tmp_path / "dom" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    for bad in ("2", -1, 2.0, None, True):
+        manifest["n_frames"] = bad
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match="frame count"):
+            open_domain(tmp_path / "dom")
+        with pytest.raises(FormatError, match="frame count"):
+            load_domain(tmp_path / "dom")
 
 
 def test_domain_spec_from_json_rejects_unknown_fields():

@@ -1,18 +1,23 @@
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from anchorcal import synthdet
 from anchorcal.core import AnchorSizes, UnknownFrameError
+from anchorcal.extractor import FeatureExtractor, GateConfig, build_reference_db
 from anchorcal.optimizer import default_sweep_configs
 from anchorcal.synthdet import (
     _segment_sums,
+    StreamedExtractor,
     SyntheticDomain,
     SyntheticExtractor,
     SyntheticFrame,
     SyntheticObject,
     generate_domain,
+    generate_frames,
     mean_capture_score,
     occupancy_feature,
 )
@@ -339,3 +344,93 @@ def test_ascending_sweep_rebuilds_candidate_tables_a_few_times():
             steps += 1
     assert steps == 63
     assert 1 <= builds <= 6
+
+
+def test_a_rebuild_drops_the_superseded_tables_before_building():
+    spec = SyntheticDomain(CAR, (0.04, 0.05, 0.03), clutter_rate=500.0, seed=6)
+    ex = generate_domain(spec, 3)
+    ex.gated_features(ex.frames(), AnchorSizes(1.0, 2.0, 1.0), 0.6)
+    old = weakref.ref(ex._tables)
+    alive_during_build = []
+    box_local = synthdet._box_local
+
+    def spy(*args):
+        alive_during_build.append(old() is not None)
+        return box_local(*args)
+
+    synthdet._box_local = spy
+    try:
+        ex.gated_features(ex.frames(), CAR, 0.6)  # reaches past the old tables
+    finally:
+        synthdet._box_local = box_local
+    assert alive_during_build and not any(alive_during_build)
+
+
+def _frames_equal(a, b):
+    np.testing.assert_array_equal(a.points, b.points)
+    np.testing.assert_array_equal(a.owner, b.owner)
+    for oa, ob in zip(a.objects, b.objects, strict=True):
+        np.testing.assert_array_equal(oa.est_center, ob.est_center)
+        assert oa.yaw == ob.yaw and oa.est_yaw == ob.est_yaw
+
+
+def test_any_frame_can_be_drawn_alone():
+    spec = SyntheticDomain(CAR, (0.04, 0.05, 0.03), clutter_rate=300.0, seed=17)
+    whole = generate_domain(spec, 6)
+    for i in range(6):
+        alone = generate_domain(spec, range(i, i + 1))
+        assert list(alone.frames()) == [0]
+        _frames_equal(alone.frame_data(0), whole.frame_data(i))
+    drawn = generate_frames(spec, range(2, 5))
+    for got, want in zip(drawn, list(whole.iter_frames())[2:5], strict=True):
+        _frames_equal(got, want)
+    with pytest.raises(ValueError, match="n_frames"):
+        generate_domain(spec, range(3, 3))
+
+
+def _streamed(spec, n_frames):
+    return StreamedExtractor(
+        spec, n_frames, lambda: (generate_domain(spec, range(i, i + 1)) for i in range(n_frames))
+    )
+
+
+def test_a_streamed_domain_answers_as_the_whole_domain_does():
+    spec = SyntheticDomain(CAR, (0.04, 0.05, 0.03), clutter_rate=1500.0,
+                           objects_per_frame=6.0, seed=12)
+    whole, streamed = generate_domain(spec, 7), _streamed(spec, 7)
+    assert isinstance(streamed, FeatureExtractor)
+    assert (streamed.feature_dim, streamed.source_sizes) == (whole.feature_dim, CAR)
+    assert list(streamed.frames()) == list(whole.frames())
+    for sizes in (CAR, AnchorSizes(1.5, 3.6, 1.4), AnchorSizes(2.4, 5.5, 2.0)):
+        for frames in (list(range(7)), [5, 0, 5, 3], []):
+            got = streamed.gated_features(frames, sizes, 0.6)
+            want = whole.gated_features(frames, sizes, 0.6)
+            assert got.dtype == np.float32 and got.shape == want.shape
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+        for f in (0, 4, 6):
+            pa, pb = streamed.propose(f, sizes), whole.propose(f, sizes)
+            assert [p.score for p in pa] == [p.score for p in pb]
+    gate = GateConfig(tau=0.6, max_features=5)
+    assert build_reference_db(streamed, streamed.frames(), gate) == build_reference_db(
+        whole, whole.frames(), gate
+    )
+    for a, b in zip(streamed.iter_frames(), whole.iter_frames(), strict=True):
+        _frames_equal(a, b)
+    with pytest.raises(UnknownFrameError):
+        streamed.gated_features([7], CAR, 0.6)
+
+
+def test_a_streamed_domain_reads_nothing_before_a_query_and_checks_its_count():
+    spec = SyntheticDomain(CAR, (0.04, 0.05, 0.03), clutter_rate=100.0, seed=3)
+    opened = []
+
+    def parts():
+        opened.append(True)
+        return [generate_domain(spec, 2)]  # one part may hold several frames
+
+    streamed = StreamedExtractor(spec, 3, parts)
+    assert streamed.source_sizes == CAR and list(streamed.frames()) == [0, 1, 2]
+    assert not opened
+    with pytest.raises(ValueError, match="2 frames, not 3"):
+        streamed.gated_features(streamed.frames(), CAR, 0.6)
+    assert len(opened) == 1
