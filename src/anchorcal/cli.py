@@ -26,6 +26,7 @@ from typing import Mapping, Sequence
 
 from .core import (
     SIZE_AXES,
+    AnchorSizes,
     CalibrationError,
     DimensionMismatchError,
     EmptyDatabaseError,
@@ -35,6 +36,7 @@ from .core import (
 from .extractor import GateConfig, build_reference_db
 from .gmm import EmConfig, Gmm, fit_em
 from .optimizer import (
+    Curve,
     DeConfig,
     SweepConfig,
     calibrate,
@@ -56,6 +58,7 @@ from .storage import (
     save_feature_db,
     save_gmm,
     save_result,
+    save_text,
     save_trace,
 )
 from .synthdet import StreamedExtractor, SyntheticDomain, SyntheticExtractor, generate_domain
@@ -148,11 +151,8 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
     em_raw.setdefault("seed", seed + EM_SEED_OFFSET)
     em = EmConfig(**em_raw)
 
-    sweep_raw = dict(_section(raw, "sweep"))
-    axes = sweep_raw.pop("axes", list(SIZE_AXES))
-    if set(axes) - set(SIZE_AXES) or len(set(axes)) != len(axes):
-        raise ValueError(f"sweep.axes must be distinct axes from {SIZE_AXES}, got {axes}")
-    sweep_configs = tuple(SweepConfig(axis, **sweep_raw) for axis in axes)
+    sweep_raw = _section(raw, "sweep")
+    sweep_configs = tuple(SweepConfig(axis, **sweep_raw) for axis in SIZE_AXES)
 
     de_raw = dict(_section(raw, "de"))
     de_raw.setdefault("seed", seed + DE_SEED_OFFSET)
@@ -288,13 +288,19 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _stored_curves(cfg: RunConfig) -> dict[str, tuple[tuple[float, float], ...]] | None:
+def _stored_curves(cfg: RunConfig, source_sizes: AnchorSizes) -> dict[str, Curve] | None:
+    """The stored sweep curves, or None unless every axis has one whose
+    values are exactly this config's grid around the source sizes."""
     curves = {}
     for sweep_cfg in cfg.sweep_configs:
         path = _curve_path(cfg, sweep_cfg.axis)
         if not path.exists():
             return None
-        curves[sweep_cfg.axis] = load_curve(path)
+        curve = load_curve(path)
+        grid = sweep_cfg.grid(source_sizes.axis(sweep_cfg.axis)).tolist()
+        if [value for value, _ in curve] != grid:
+            return None
+        curves[sweep_cfg.axis] = curve
     return curves
 
 
@@ -307,8 +313,8 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     target = _materialize(cfg, "target")
     result = calibrate(
         source, target, list(source.frames()), list(target.frames()),
-        gate=cfg.gate, em_config=cfg.em, sweep_configs=cfg.sweep_configs,
-        de_config=cfg.de, sweep_curves=_stored_curves(cfg), model=stored_model,
+        gate=cfg.gate, em_config=cfg.em, sweep_configs=cfg.sweep_configs, de_config=cfg.de,
+        sweep_curves=_stored_curves(cfg, source.source_sizes), model=stored_model,
     )
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -354,7 +360,7 @@ def cmd_report(cfg: RunConfig) -> int:
     result_path = cfg.out_dir / "result.json"
     result = load_result(result_path)
     text = _format_report(result)
-    (cfg.out_dir / "report.txt").write_text(text)
+    save_text(text, cfg.out_dir / "report.txt")
     print(text, end="")
     return EXIT_OK
 

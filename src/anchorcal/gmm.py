@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -30,29 +29,24 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # Subsample cap for seeding; full data is still used for the EM iterations.
 _SEED_SUBSAMPLE = 4096
 
+# EM stops after MAX_ITERS iterations, or once the average log likelihood
+# gains at most LL_TOLERANCE relative to its magnitude; no variance falls
+# below VARIANCE_FLOOR.
+MAX_ITERS = 200
+LL_TOLERANCE = 1e-6
+VARIANCE_FLOOR = 1e-6
+
 
 @dataclass(frozen=True)
 class EmConfig:
     """Settings for the expectation-maximization fit."""
 
     k: int = 8
-    max_iters: int = 200
-    ll_tolerance: float = 1e-6
-    restarts: int = 1
-    variance_floor: float = 1e-6
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.ll_tolerance < 0.0:
-            raise ValueError("ll_tolerance must be >= 0")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.variance_floor <= 0.0:
-            raise ValueError("variance_floor must be positive")
 
 
 class Gmm:
@@ -209,28 +203,40 @@ def _seed_means(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     return centers
 
 
-def _em_once(
-    x: np.ndarray, cfg: EmConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, list[float]]:
-    n, d = x.shape
-    k = cfg.k
-    floor = cfg.variance_floor
+def fit_em(
+    db: FeatureDatabase, config: EmConfig, return_history: bool = False
+) -> Gmm | tuple[Gmm, list[float]]:
+    """Fit a diagonal GMM to the database by EM.
 
-    means = _seed_means(x, k, rng)
-    var0 = np.maximum(x.var(axis=0), floor)
+    Deterministic given config.seed. The data is put into a canonical
+    (lexicographically sorted) order first, so permuting the database does
+    not change the result. The history holds the average log likelihood
+    before each iteration and of the final model.
+    """
+    if len(db) == 0:
+        raise EmptyDatabaseError("cannot fit a mixture to an empty database")
+    if len(db) < config.k:
+        raise InsufficientSamplesError(
+            f"{len(db)} samples cannot support k={config.k} components"
+        )
+    x = _canonical_order(db.rows.astype(np.float64))
+    k = config.k
+
+    means = _seed_means(x, k, np.random.default_rng(config.seed))
+    var0 = np.maximum(x.var(axis=0), VARIANCE_FLOOR)
     variances = np.tile(var0, (k, 1))
     weights = np.full(k, 1.0 / k)
 
     history: list[float] = []
     prev_ll = -np.inf
-    for _ in range(cfg.max_iters):
+    for _ in range(MAX_ITERS):
         model = Gmm(weights, means, variances)
         log_comp = _component_log_pdf(model, x)
         row_ll = _logsumexp_rows(log_comp)
         avg_ll = float(row_ll.mean())
         history.append(avg_ll)
 
-        if avg_ll - prev_ll <= cfg.ll_tolerance * max(1.0, abs(prev_ll)) and math.isfinite(prev_ll):
+        if avg_ll - prev_ll <= LL_TOLERANCE * max(1.0, abs(prev_ll)) and math.isfinite(prev_ll):
             break
         prev_ll = avg_ll
 
@@ -241,44 +247,10 @@ def _em_once(
         means = (resp.T @ x) / nk[:, None]
         diff = x[:, None, :] - means[None, :, :]
         variances = np.einsum("nk,nkd->kd", resp, diff * diff) / nk[:, None]
-        variances = np.maximum(variances, floor)
+        variances = np.maximum(variances, VARIANCE_FLOOR)
 
     model = Gmm(weights, means, variances)
-    final_ll = float(_logsumexp_rows(_component_log_pdf(model, x)).mean())
-    history.append(final_ll)
-    return weights, means, variances, final_ll, history
-
-
-def fit_em(
-    db: FeatureDatabase, config: EmConfig, return_history: bool = False
-) -> Gmm | tuple[Gmm, list[list[float]]]:
-    """Fit a diagonal GMM to the database by EM.
-
-    Deterministic given config.seed. The data is put into a canonical
-    (lexicographically sorted) order first, so permuting the database does
-    not change the result. Restarts reseed from the same generator stream
-    and the restart with the highest final average log likelihood wins.
-    """
-    if len(db) == 0:
-        raise EmptyDatabaseError("cannot fit a mixture to an empty database")
-    if len(db) < config.k:
-        raise InsufficientSamplesError(
-            f"{len(db)} samples cannot support k={config.k} components"
-        )
-    x = _canonical_order(db.rows.astype(np.float64))
-    rng = np.random.default_rng(config.seed)
-
-    best: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-    best_ll = -np.inf
-    histories: list[list[float]] = []
-    for _ in range(config.restarts):
-        weights, means, variances, final_ll, history = _em_once(x, config, rng)
-        histories.append(history)
-        if final_ll > best_ll:
-            best_ll = final_ll
-            best = (weights, means, variances)
-    assert best is not None
-    model = Gmm(*best)
     if return_history:
-        return model, histories
+        history.append(float(_logsumexp_rows(_component_log_pdf(model, x)).mean()))
+        return model, history
     return model

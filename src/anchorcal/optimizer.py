@@ -24,7 +24,6 @@ from .core import (
     AnchorSizes,
     CalibrationError,
     DimensionMismatchError,
-    FeatureDatabase,
     FrameId,
 )
 from .extractor import FeatureExtractor, GateConfig, build_reference_db, build_target_db
@@ -33,6 +32,13 @@ from .gmm import EmConfig, Gmm, fit_em, fitness
 FitnessFn = Callable[[AnchorSizes], float]
 
 Curve = tuple[tuple[float, float], ...]
+
+# DE's mutation amplitude, per-coordinate crossover probability, and the
+# half-width of the uniform initialization box as a fraction of the source
+# value per axis.
+ETA = 0.7
+CROSSOVER_RATE = 0.7
+INIT_RANGE = 0.3
 
 
 @dataclass(frozen=True)
@@ -78,19 +84,12 @@ class DeConfig:
 
     population: member count, at least 4 (mutation draws the best member
         plus two others distinct from the trial's parent).
-    eta: mutation amplitude.
-    crossover_rate: per-coordinate probability of inheriting the mutant.
-    init_range: half-width of the uniform initialization box, as a fraction
-        of the source value per axis.
     stall_tolerance: best-fitness improvement below this counts as a stalled
         generation; stall_generations of those in a row terminate the run.
         A tolerance of 0 disables stall termination.
     """
 
     population: int = 16
-    eta: float = 0.7
-    crossover_rate: float = 0.7
-    init_range: float = 0.3
     max_iters: int = 200
     stall_tolerance: float = 1e-9
     stall_generations: int = 25
@@ -99,12 +98,6 @@ class DeConfig:
     def __post_init__(self) -> None:
         if self.population < 4:
             raise ValueError(f"population must be >= 4, got {self.population!r}")
-        if not (math.isfinite(self.eta) and self.eta > 0.0):
-            raise ValueError(f"eta must be positive and finite, got {self.eta!r}")
-        if not (0.0 <= self.crossover_rate <= 1.0):
-            raise ValueError(f"crossover_rate must lie in [0, 1], got {self.crossover_rate!r}")
-        if not (0.0 < self.init_range < 1.0):
-            raise ValueError(f"init_range must lie in (0, 1), got {self.init_range!r}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters!r}")
         if self.stall_tolerance < 0.0:
@@ -120,8 +113,8 @@ class CalibrationResult:
     de_trace holds the best fitness after initialization and after each
     generation, so it is non-decreasing by construction; evaluations counts
     every fitness call (population work plus any sweep grid points).
-    The fitted model and reference database ride along for reporting but are
-    excluded from equality, so results round-trip through JSON cleanly.
+    The fitted model rides along for reporting but is excluded from
+    equality, so results round-trip through JSON cleanly.
     """
 
     calibrated: AnchorSizes
@@ -133,7 +126,6 @@ class CalibrationResult:
     termination: str
     evaluations: int
     model: Gmm | None = field(default=None, compare=False)
-    reference_db: FeatureDatabase | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.termination not in ("converged", "max_iters"):
@@ -227,7 +219,7 @@ def differential_evolution(
 ) -> CalibrationResult:
     """Joint search over (w, l, h) by best/1 differential evolution.
 
-    The population starts as uniform samples in +-init_range around the
+    The population starts as uniform samples in +-INIT_RANGE around the
     source, with init_candidate and the source itself replacing the first
     two members. Trials are built synchronously per generation, so the
     result does not depend on evaluation order.
@@ -235,7 +227,7 @@ def differential_evolution(
     rng = np.random.default_rng(config.seed)
     n = config.population
     src = source.as_array()
-    pop = src * rng.uniform(1.0 - config.init_range, 1.0 + config.init_range, (n, 3))
+    pop = src * rng.uniform(1.0 - INIT_RANGE, 1.0 + INIT_RANGE, (n, 3))
     pop[0] = init_candidate.as_array()
     pop[1] = src
     pop = np.maximum(pop, SIZE_FLOOR)
@@ -261,8 +253,8 @@ def differential_evolution(
             pool = [j for j in range(n) if j != i and j != best_idx]
             pick = rng.choice(len(pool), size=2, replace=False)
             r1, r2 = pool[pick[0]], pool[pick[1]]
-            mutant = best_vec + config.eta * (pop[r1] - pop[r2])
-            cross = rng.uniform(size=3) < config.crossover_rate
+            mutant = best_vec + ETA * (pop[r1] - pop[r2])
+            cross = rng.uniform(size=3) < CROSSOVER_RATE
             cross[int(rng.integers(3))] = True
             trials[i] = np.maximum(np.where(cross, mutant, pop[i]), SIZE_FLOOR)
         trial_fits = [float(eval_fn(AnchorSizes.from_array(row))) for row in trials]
@@ -340,10 +332,8 @@ def calibrate(
             f"source extractor emits dim {extractor_source.feature_dim}, "
             f"target {extractor_target.feature_dim}"
         )
-    reference = None
     if model is None:
-        reference = build_reference_db(extractor_source, frames_source, gate)
-        model = fit_em(reference, em_config)
+        model = fit_em(build_reference_db(extractor_source, frames_source, gate), em_config)
     elif model.dim != extractor_target.feature_dim:
         raise DimensionMismatchError(
             f"model has dim {model.dim}, target features have dim "
@@ -372,7 +362,6 @@ def calibrate(
         sweep_curves=sweep_curves,
         evaluations=counter.count,
         model=model,
-        reference_db=reference,
     )
     if not result.fitness_calibrated >= result.fitness_source:
         raise CalibrationError(

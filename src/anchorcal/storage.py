@@ -6,7 +6,8 @@ collections stay compact and language-portable. Models and calibration
 results are JSON with full-precision floats. Sweep curves and DE traces are
 header-row CSV, directly plottable. Synthetic domains cache as a manifest
 plus one binary frame file; every writer here is byte-deterministic given
-identical inputs, which is what makes re-run hashing a meaningful check.
+identical inputs, which is what makes re-run hashing a meaningful check, and
+writes a temporary file that replaces the target only once it is whole.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
 import struct
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -53,8 +55,7 @@ class FormatError(ValueError):
 
 
 def save_feature_db(db: FeatureDatabase, path: str | Path) -> None:
-    path = Path(path)
-    with open(path, "wb") as fh:
+    with _replacing(Path(path)) as fh:
         fh.write(_SFDB_HEADER.pack(SFDB_MAGIC, SFDB_VERSION, db.dim, len(db)))
         fh.write(np.ascontiguousarray(db.rows, dtype="<f4").tobytes())
 
@@ -82,14 +83,11 @@ def _json_text(payload: object) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _dump_json(payload: object, path: Path) -> None:
-    path.write_text(_json_text(payload))
-
-
 @contextlib.contextmanager
 def _replacing(path: Path) -> Iterator:
     """A binary handle on a temporary file beside path, moved onto path by
-    os.replace once the block completes and removed if it raises."""
+    os.replace once the block completes and removed if it raises. Every
+    artifact is written through it, so a failed write leaves the old file."""
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:
@@ -98,6 +96,25 @@ def _replacing(path: Path) -> Iterator:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def save_text(text: str, path: str | Path) -> None:
+    with _replacing(Path(path)) as fh:
+        fh.write(text.encode())
+
+
+def _dump_json(payload: object, path: Path) -> None:
+    save_text(_json_text(payload), path)
+
+
+def _save_csv(header: Sequence[str], rows: Iterable[Sequence[object]], path: str | Path) -> None:
+    """Rows formatted whole before the file is written, so one that fails to
+    format leaves the old file."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    save_text(buf.getvalue(), path)
 
 
 def _load_json(path: str | Path) -> object:
@@ -180,11 +197,8 @@ def load_result(path: str | Path) -> CalibrationResult:
 
 
 def save_curve(curve: Sequence[tuple[float, float]], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["value", "fitness"])
-        for value, fit in curve:
-            writer.writerow([repr(float(value)), repr(float(fit))])
+    rows = ([repr(float(value)), repr(float(fit))] for value, fit in curve)
+    _save_csv(["value", "fitness"], rows, path)
 
 
 def load_curve(path: str | Path) -> Curve:
@@ -200,11 +214,8 @@ def load_curve(path: str | Path) -> Curve:
 
 
 def save_trace(trace: Sequence[float], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["generation", "best_fitness"])
-        for gen, fit in enumerate(trace):
-            writer.writerow([gen, repr(float(fit))])
+    rows = ([gen, repr(float(fit))] for gen, fit in enumerate(trace))
+    _save_csv(["generation", "best_fitness"], rows, path)
 
 
 def load_trace(path: str | Path) -> tuple[float, ...]:
@@ -306,8 +317,7 @@ def save_domain(extractor: SyntheticExtractor | StreamedExtractor, directory: st
         "n_frames": n_frames,
         "spec": spec_json,
     }
-    with _replacing(directory / MANIFEST_NAME) as fh:
-        fh.write(_json_text(manifest).encode())
+    _dump_json(manifest, directory / MANIFEST_NAME)
 
 
 def domain_spec_from_json(raw: Mapping[str, object]) -> SyntheticDomain:

@@ -65,7 +65,7 @@ def test_01_mixture_recovery():
     samples = rng.normal(means_true[comp], np.sqrt(vars_true[comp]))
     db = FeatureDatabase(4, samples.astype(np.float32))
 
-    model, histories = fit_em(db, EmConfig(k=2, seed=0), return_history=True)
+    model, history = fit_em(db, EmConfig(k=2, seed=0), return_history=True)
     mean_err, weight_err = min(
         (
             float(np.max(np.abs(model.means[list(perm)] - means_true))),
@@ -73,7 +73,7 @@ def test_01_mixture_recovery():
         )
         for perm in ((0, 1), (1, 0))
     )
-    monotone = all(b - a >= -1e-9 for h in histories for a, b in zip(h, h[1:]))
+    monotone = all(b - a >= -1e-9 for a, b in zip(history, history[1:]))
     elapsed = time.perf_counter() - t0
 
     ok = mean_err <= 0.15 and weight_err <= 0.05 and monotone and elapsed < 5.0

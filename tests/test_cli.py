@@ -344,6 +344,26 @@ def test_bad_sweep_axes_is_config_error(tmp_path):
     assert run("gen", "--config", cfg) == 2
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("em", "restarts", 1),
+        ("em", "max_iters", 200),
+        ("em", "ll_tolerance", 1e-6),
+        ("em", "variance_floor", 1e-6),
+        ("de", "eta", 0.7),
+        ("de", "crossover_rate", 0.7),
+        ("de", "init_range", 0.3),
+        ("sweep", "axes", ["w", "l", "h"]),
+    ],
+)
+def test_a_fixed_setting_in_the_config_is_config_error(tmp_path, capsys, section, key, value):
+    cfg = write_config(tmp_path, small_config(tmp_path / "out", **{section: {key: value}}))
+    assert run("gen", "--config", cfg) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cache_only_section_loads_from_disk(tmp_path):
     staging = tmp_path / "stage"
     gen_cfg = write_config(tmp_path, small_config(staging), "gen.json")

@@ -7,6 +7,7 @@ from scipy.special import logsumexp
 
 from anchorcal.core import EmptyDatabaseError, FeatureDatabase, InsufficientSamplesError
 from anchorcal.gmm import (
+    VARIANCE_FLOOR,
     EmConfig,
     Gmm,
     _component_log_pdf,
@@ -154,7 +155,7 @@ def test_component_log_pdf_matches_the_broadcast_form_bit_for_bit(seed, k, dim, 
     rng = np.random.default_rng(seed)
     model = _random_model(rng, k, dim)
     # about a third of the variances at the EM floor, as fitted models have
-    floored = np.where(rng.random((k, dim)) < 0.3, EmConfig().variance_floor, model.variances)
+    floored = np.where(rng.random((k, dim)) < 0.3, VARIANCE_FLOOR, model.variances)
     model = Gmm(model.weights, model.means, floored)
     x = rng.normal(0.0, 3.0, (n, dim))
     x[: n // 4] = model.means[rng.integers(0, k, n // 4)]  # rows on a component mean
@@ -185,11 +186,10 @@ def test_fit_em_k1_matches_moments():
 def test_fit_em_identical_copies_hit_variance_floor():
     vec = np.array([0.25, -1.0, 3.0], dtype=np.float32)
     db = FeatureDatabase(3, np.tile(vec, (40, 1)))
-    cfg = EmConfig(k=2, variance_floor=1e-6, seed=3)
-    model = fit_em(db, cfg)
+    model = fit_em(db, EmConfig(k=2, seed=3))
     for comp in model.means:
         np.testing.assert_allclose(comp, vec.astype(np.float64), atol=1e-9)
-    np.testing.assert_allclose(model.variances, cfg.variance_floor, rtol=0, atol=0)
+    np.testing.assert_allclose(model.variances, VARIANCE_FLOOR, rtol=0, atol=0)
 
 
 def _two_cluster_db(n=2000, dim=4, seed=99):
@@ -204,20 +204,18 @@ def _two_cluster_db(n=2000, dim=4, seed=99):
 
 def test_fit_em_recovers_two_separated_components():
     db = _two_cluster_db()
-    model, histories = fit_em(db, EmConfig(k=2, seed=0), return_history=True)
+    model, history = fit_em(db, EmConfig(k=2, seed=0), return_history=True)
     order = np.argsort(model.means[:, 0])
     np.testing.assert_allclose(model.means[order[0]], -5.0, atol=0.15)
     np.testing.assert_allclose(model.means[order[1]], 5.0, atol=0.15)
     assert model.weights[order[0]] == pytest.approx(0.3, abs=0.05)
     assert model.weights[order[1]] == pytest.approx(0.7, abs=0.05)
-    for history in histories:
-        diffs = np.diff(np.array(history))
-        assert np.all(diffs >= -1e-9)
+    assert np.all(np.diff(np.array(history)) >= -1e-9)
 
 
 def test_fit_em_is_deterministic_and_order_free():
     db = _two_cluster_db(n=300, seed=5)
-    cfg = EmConfig(k=3, seed=42, restarts=2)
+    cfg = EmConfig(k=3, seed=42)
     a = fit_em(db, cfg)
     b = fit_em(db, cfg)
     assert a == b

@@ -12,11 +12,17 @@ thread count (such as the benchmark's wide_features) is not pinned.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from anchorcal.cli import main
 
-BUNDLED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "waymo_like_to_kitti_like.json"
+ROOT = Path(__file__).resolve().parents[1]
+BUNDLED_CONFIG = ROOT / "configs" / "waymo_like_to_kitti_like.json"
 
 # the config of test_acceptance's test_09_byte_determinism chain
 CHAIN_CONFIG = {
@@ -107,3 +113,53 @@ def test_bundled_calibrate_matches_pinned_hashes(tmp_path):
     out = tmp_path / "out"
     assert main(["calibrate", "--config", str(BUNDLED_CONFIG), "--out", str(out)]) == 0
     assert_tree_matches(out, BUNDLED_HASHES)
+
+
+def _cut_w_curve(out: Path) -> None:
+    path = out / "sweep_w.csv"
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:3]))
+
+
+@pytest.mark.parametrize(
+    "sweep, edit",
+    [({}, _cut_w_curve), ({"sweep": {"steps": 7}}, lambda out: None)],
+    ids=["cut_curve", "other_steps"],
+)
+def test_calibrate_sweeps_again_over_curves_of_another_grid(tmp_path, sweep, edit):
+    """Stored curves whose values are not this config's grid are not reused:
+    calibrate sweeps again and writes the one-shot chain's bytes."""
+    out = tmp_path / "out"
+    cfg = tmp_path / "chain.json"
+    cfg.write_text(json.dumps({**CHAIN_CONFIG, "out_dir": str(out)}))
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({**CHAIN_CONFIG, **sweep, "out_dir": str(out)}))
+    assert main(["gen", "--config", str(cfg)]) == 0
+    assert main(["sweep", "--config", str(other)]) == 0
+    edit(out)
+    for command in ("calibrate", "report"):
+        assert main([command, "--config", str(cfg)]) == 0, command
+    assert_tree_matches(out, CHAIN_HASHES)
+
+
+def test_chain_under_python_O_matches_pinned_hashes(tmp_path):
+    out = tmp_path / "out"
+    cfg = tmp_path / "chain.json"
+    cfg.write_text(json.dumps({**CHAIN_CONFIG, "out_dir": str(out)}))
+    script = (
+        "import sys\n"
+        "from anchorcal.cli import main\n"
+        "if sys.flags.optimize < 1:\n"
+        "    sys.exit('asserts are not stripped')\n"
+        "for command in ('gen', 'calibrate', 'report'):\n"
+        "    code = main([command, '--config', sys.argv[1]])\n"
+        "    if code:\n"
+        "        sys.exit(f'{command} exited {code}')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
+    )}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, str(cfg)], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert_tree_matches(out, CHAIN_HASHES)

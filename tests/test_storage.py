@@ -153,6 +153,23 @@ def test_curve_round_trip_exact(tmp_path):
     assert header == "value,fitness"
 
 
+@pytest.mark.parametrize(
+    "writer, old, bad",
+    [
+        (save_curve, ((1.0, -2.5), (1.5, -2.0)), ((2.0, -1.0), (2.5, "not a float"))),
+        (save_trace, (1.0, 2.0), (3.0, "not a float")),
+    ],
+)
+def test_a_csv_write_that_fails_part_way_leaves_the_old_file(tmp_path, writer, old, bad):
+    path = tmp_path / "out.csv"
+    writer(old, path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        writer(bad, path)  # the second row fails float()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
 def test_curve_rejects_wrong_header(tmp_path):
     path = tmp_path / "c.csv"
     path.write_text("a,b\n1,2\n")
